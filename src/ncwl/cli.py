@@ -3,8 +3,8 @@
 Exit codes: 0 success (for ``compare``: not distinguished), 1 the graphs
 were distinguished (``compare``) or a suite check failed, 2 usage or input
 errors. All commands are deterministic given identical flags, inputs, and
-seed. Setting WL_NO_PARALLEL=1 forces sequential execution; the engines are
-sequential by construction, so this is always honored.
+seed. The engines are sequential; the WL_NO_PARALLEL environment variable
+is ignored.
 """
 
 from __future__ import annotations
@@ -36,11 +36,6 @@ def _read_graph(path: str):
 
 def _fmt_hist(hist) -> str:
     return ",".join(f"{c}:{k}" for c, k in hist) if hist else "-"
-
-
-def _fmt_number(x) -> str:
-    # fixed, locale-independent formatting (Fraction str or repr float)
-    return str(x)
 
 
 def _emit(fields: list[str], fmt: str) -> None:
@@ -81,7 +76,7 @@ def cmd_stats(args) -> int:
         f"edges={s.edge_count}",
         f"T={s.triangle_count}",
         f"sum_nc={sum(s.messages_nc_per_node)}",
-        f"avg_nc={_fmt_number(s.avg_messages_nc)}",
+        f"avg_nc={s.avg_messages_nc}",
         f"max_nc={s.max_messages_nc}",
         f"max_degree={s.max_degree}",
         f"membound={s.memory_bound}",
@@ -193,11 +188,23 @@ def _add_format(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _seed_type(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError("seed must fit in 64 unsigned bits")
-    return value
+def _bounded_int(low: int, high: int | None = None):
+    """argparse type: an integer in [low, high] (no upper bound when high is None)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+        if value < low or (high is not None and value > high):
+            bound = f"at least {low}" if high is None else f"in [{low}, {high}]"
+            raise argparse.ArgumentTypeError(f"must be an integer {bound}, got {value}")
+        return value
+
+    return parse
+
+
+_seed_type = _bounded_int(0, 2**64 - 1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -241,23 +248,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("suite", help="run the corpus and random property checks")
     p.add_argument("--seed", type=_seed_type, default=0)
-    p.add_argument("--random-pairs", type=int, default=200)
+    p.add_argument("--random-pairs", type=_bounded_int(0), default=200)
     p.add_argument("--corpus", default=None, help="directory overriding the packaged corpus")
     _add_format(p)
     p.set_defaults(func=cmd_suite)
 
     p = sub.add_parser("gnn-embed", help="print a graph embedding from seeded random layers")
     p.add_argument("graph")
-    p.add_argument("--layers", type=int, default=2)
-    p.add_argument("--dim", type=int, default=8)
+    p.add_argument("--layers", type=_bounded_int(0), default=2)
+    p.add_argument("--dim", type=_bounded_int(1), default=8)
     p.add_argument("--seed", type=_seed_type, default=0)
     p.add_argument("--variant", choices=("nc", "gin"), default="nc")
     _add_format(p)
     p.set_defaults(func=cmd_gnn_embed)
 
     p = sub.add_parser("codec-check", help="run the exact-codec fixtures and injectivity sweep")
-    p.add_argument("--alphabet", type=int, default=3, help="number of distinct symbols")
-    p.add_argument("--max-card", type=int, default=2, help="max cardinality of each multiset")
+    p.add_argument(
+        "--alphabet", type=_bounded_int(1), default=3, help="number of distinct symbols"
+    )
+    p.add_argument(
+        "--max-card", type=_bounded_int(0), default=2, help="max cardinality of each multiset"
+    )
     p.add_argument("--base", type=int, default=None, help="override the encoding base")
     p.add_argument("--seed", type=_seed_type, default=0)
     p.set_defaults(func=cmd_codec_check)

@@ -28,6 +28,37 @@ class GraphFormatError(ValueError):
         super().__init__(message if line is None else f"line {line}: {message}")
 
 
+class _InvalidEdge(ValueError):
+    """A rejected edge; ``index`` is its 0-based position in the edge sequence."""
+
+    def __init__(self, message: str, index: int):
+        self.index = index
+        super().__init__(message)
+
+
+def _checked_adjacency(node_count: int, edges: Iterable[tuple[int, int]]):
+    """Sorted adjacency and canonical edge set of ``edges`` on ``node_count`` nodes.
+
+    Raises :class:`_InvalidEdge` for an out-of-range endpoint, a self-loop or
+    a repeated edge (in either orientation).
+    """
+    seen: set[tuple[int, int]] = set()
+    adj: list[list[int]] = [[] for _ in range(node_count)]
+    for u, v in edges:
+        # every earlier edge was accepted, so len(seen) is this edge's index
+        if not (0 <= u < node_count and 0 <= v < node_count):
+            raise _InvalidEdge(f"edge ({u},{v}) out of range for {node_count} nodes", len(seen))
+        if u == v:
+            raise _InvalidEdge(f"self-loop at node {u}", len(seen))
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise _InvalidEdge(f"duplicate edge ({key[0]},{key[1]})", len(seen))
+        seen.add(key)
+        adj[u].append(v)
+        adj[v].append(u)
+    return tuple(tuple(sorted(nb)) for nb in adj), frozenset(seen)
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph with one non-negative integer label per node.
@@ -54,19 +85,7 @@ class Graph:
     ) -> "Graph":
         if node_count < 0:
             raise ValueError("node_count must be non-negative")
-        seen: set[tuple[int, int]] = set()
-        adj: list[list[int]] = [[] for _ in range(node_count)]
-        for u, v in edges:
-            if not (0 <= u < node_count and 0 <= v < node_count):
-                raise ValueError(f"edge ({u},{v}) out of range for {node_count} nodes")
-            if u == v:
-                raise ValueError(f"self-loop at node {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise ValueError(f"duplicate edge ({key[0]},{key[1]})")
-            seen.add(key)
-            adj[u].append(v)
-            adj[v].append(u)
+        adjacency, edge_set = _checked_adjacency(node_count, edges)
         if labels is None:
             labels = [0] * node_count
         else:
@@ -75,12 +94,7 @@ class Graph:
                 raise ValueError("labels length must equal node_count")
             if any(l < 0 for l in labels):
                 raise ValueError("labels must be non-negative")
-        return cls(
-            node_count=node_count,
-            adjacency=tuple(tuple(sorted(nb)) for nb in adj),
-            edge_set=frozenset(seen),
-            labels=tuple(labels),
-        )
+        return cls(node_count, adjacency, edge_set, tuple(labels))
 
     @property
     def edge_count(self) -> int:
@@ -137,9 +151,7 @@ def parse_edge_list(text: str) -> Graph:
     if not data:
         raise GraphFormatError("empty input: missing header line")
 
-    pos = 0
-    lineno, header = data[pos]
-    pos += 1
+    lineno, header = data[0]
     parts = header.split()
     if len(parts) != 2:
         raise GraphFormatError("header must be '<node_count> <edge_count>'", lineno)
@@ -150,35 +162,25 @@ def parse_edge_list(text: str) -> Graph:
     if node_count < 0 or edge_count < 0:
         raise GraphFormatError("header counts must be non-negative", lineno)
 
-    seen: set[tuple[int, int]] = set()
-    adj: list[list[int]] = [[] for _ in range(node_count)]
-    for _ in range(edge_count):
-        if pos >= len(data):
-            raise GraphFormatError(
-                f"expected {edge_count} edge lines, got {len(seen)}",
-                data[-1][0] if data else None,
-            )
-        lineno, line = data[pos]
-        pos += 1
-        parts = line.split()
-        if len(parts) != 2:
-            raise GraphFormatError("edge line must be '<u> <v>'", lineno)
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphFormatError("edge line must contain two integers", lineno) from None
-        if not (0 <= u < node_count and 0 <= v < node_count):
-            raise GraphFormatError(
-                f"node id out of range: edge ({u},{v}) with node_count={node_count}", lineno
-            )
-        if u == v:
-            raise GraphFormatError(f"self-loop at node {u}", lineno)
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise GraphFormatError(f"duplicate edge ({key[0]},{key[1]})", lineno)
-        seen.add(key)
-        adj[u].append(v)
-        adj[v].append(u)
+    def edge_lines():
+        for i in range(edge_count):
+            if 1 + i >= len(data):
+                raise GraphFormatError(f"expected {edge_count} edge lines, got {i}", data[-1][0])
+            lineno, line = data[1 + i]
+            parts = line.split()
+            if len(parts) != 2:
+                raise GraphFormatError("edge line must be '<u> <v>'", lineno)
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise GraphFormatError("edge line must contain two integers", lineno) from None
+            yield u, v
+
+    try:
+        adjacency, edge_set = _checked_adjacency(node_count, edge_lines())
+    except _InvalidEdge as exc:
+        raise GraphFormatError(str(exc), data[1 + exc.index][0]) from None
+    pos = 1 + edge_count
 
     labels = [0] * node_count
     if pos < len(data):
@@ -211,12 +213,7 @@ def parse_edge_list(text: str) -> Graph:
             labels[v] = lab
         if pos < len(data):
             raise GraphFormatError("unexpected content after label section", data[pos][0])
-    return Graph(
-        node_count=node_count,
-        adjacency=tuple(tuple(sorted(nb)) for nb in adj),
-        edge_set=frozenset(seen),
-        labels=tuple(labels),
-    )
+    return Graph(node_count, adjacency, edge_set, tuple(labels))
 
 
 def serialize_edge_list(g: Graph) -> str:

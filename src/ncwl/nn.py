@@ -157,12 +157,16 @@ def _exact_colsums(rows: np.ndarray, dim: int) -> np.ndarray:
     return np.array([math.fsum(rows[:, j]) for j in range(dim)])
 
 
-def _neighbor_sums(g: Graph, H: np.ndarray) -> np.ndarray:
+def _neighbor_sums(g: Graph, H: np.ndarray, feats: EdgeFeatures | None = None) -> np.ndarray:
+    """Exact per-node sums of neighbor rows, or of ReLU(H[u] + e_uv) with ``feats``."""
     out = np.zeros_like(H)
     dim = H.shape[1]
     for v, nb in enumerate(g.adjacency):
         if nb:
-            out[v] = _exact_colsums(H[list(nb)], dim)
+            rows = H[list(nb)]
+            if feats is not None:
+                rows = np.maximum(rows + feats.values[[feats.row(v, u) for u in nb]], 0.0)
+            out[v] = _exact_colsums(rows, dim)
     return out
 
 
@@ -179,11 +183,6 @@ def _flat_neighbor_edge_index(g: Graph):
     return np.array(vs, dtype=np.intp), np.array(u1s, dtype=np.intp), np.array(u2s, dtype=np.intp)
 
 
-def _check_features(g: Graph, H: np.ndarray) -> None:
-    if H.ndim != 2 or H.shape[0] != g.node_count:
-        raise ValueError(f"feature matrix must have one row per node, got shape {H.shape}")
-
-
 def _pair_term(g: Graph, M: np.ndarray, vs: np.ndarray, dim: int) -> np.ndarray:
     """Per-node exact sums of the pair-message rows M grouped by center vs."""
     out = np.zeros((g.node_count, dim))
@@ -198,33 +197,6 @@ def _pair_term(g: Graph, M: np.ndarray, vs: np.ndarray, dim: int) -> np.ndarray:
         out[v] = _exact_colsums(M[start:stop], dim)
         start = stop
     return out
-
-
-def _layer_internals(g: Graph, H: np.ndarray, layer: NcGnnLayer):
-    _check_features(g, H)
-    vs, u1s, u2s = _flat_neighbor_edge_index(g)
-    base = (1.0 + layer.epsilon) * H + _neighbor_sums(g, H)
-    if len(vs):
-        Y = H[u1s] + H[u2s]
-        M, mlp2_cache = layer.mlp2._forward_cached(Y)
-        base = base + _pair_term(g, M, vs, H.shape[1])
-    else:
-        Y = None
-        mlp2_cache = None
-    out, mlp1_cache = layer.mlp1._forward_cached(base)
-    return out, (vs, u1s, u2s, mlp2_cache, mlp1_cache)
-
-
-def nc_gnn_layer_forward(g: Graph, H: np.ndarray, layer: NcGnnLayer) -> np.ndarray:
-    """Full layer update including the neighbor-edge term."""
-    return _layer_internals(g, H, layer)[0]
-
-
-def gin_layer_forward(g: Graph, H: np.ndarray, mlp1: Mlp, epsilon: float) -> np.ndarray:
-    """Plain update: MLP1((1 + eps) * H[v] + neighbor sum)."""
-    _check_features(g, H)
-    base = (1.0 + epsilon) * H + _neighbor_sums(g, H)
-    return mlp1.forward(base)
 
 
 class EdgeFeatures:
@@ -258,21 +230,47 @@ class EdgeFeatures:
         return self.values[self.row(u, v)]
 
 
-def _check_edge_dims(H: np.ndarray, feats: EdgeFeatures) -> None:
-    if feats.dim != H.shape[1]:
-        raise ValueError(
-            f"edge feature dim {feats.dim} must equal node embedding dim {H.shape[1]}"
-        )
+def _layer_internals(
+    g: Graph,
+    H: np.ndarray,
+    mlp1: Mlp,
+    epsilon: float,
+    mlp2: Mlp | None = None,
+    feats: EdgeFeatures | None = None,
+):
+    """The one layer update: MLP1((1 + eps) * H + neighbor sums [+ pair term]).
+
+    Without ``mlp2`` the pair term is dropped (and no neighbor-edge index is
+    built); with ``feats`` neighbor messages are rectified and the edge
+    feature joins each pair message. Returns the output and the caches the
+    backward pass needs.
+    """
+    if H.ndim != 2 or H.shape[0] != g.node_count:
+        raise ValueError(f"feature matrix must have one row per node, got shape {H.shape}")
+    if feats is not None and feats.dim != H.shape[1]:
+        raise ValueError(f"edge feature dim {feats.dim} must equal node embedding dim {H.shape[1]}")
+    base = (1.0 + epsilon) * H + _neighbor_sums(g, H, feats)
+    vs = u1s = u2s = mlp2_cache = None
+    if mlp2 is not None:
+        vs, u1s, u2s = _flat_neighbor_edge_index(g)
+        if len(vs):
+            Y = H[u1s] + H[u2s]
+            if feats is not None:
+                Y = Y + feats.values[[feats.row(a, b) for a, b in zip(u1s, u2s)]]
+            M, mlp2_cache = mlp2._forward_cached(Y)
+            base = base + _pair_term(g, M, vs, H.shape[1])
+    out, mlp1_cache = mlp1._forward_cached(base)
+    return out, (vs, u1s, u2s, mlp2_cache, mlp1_cache)
 
 
-def _rectified_neighbor_sums(g: Graph, H: np.ndarray, feats: EdgeFeatures) -> np.ndarray:
-    out = np.zeros_like(H)
-    dim = H.shape[1]
-    for v, nb in enumerate(g.adjacency):
-        if nb:
-            rows = np.maximum(H[list(nb)] + feats.values[[feats.row(v, u) for u in nb]], 0.0)
-            out[v] = _exact_colsums(rows, dim)
-    return out
+def nc_gnn_layer_forward(g: Graph, H: np.ndarray, layer: NcGnnLayer) -> np.ndarray:
+    """Full layer update including the neighbor-edge term."""
+    return _layer_internals(g, H, layer.mlp1, layer.epsilon, layer.mlp2)[0]
+
+
+def gin_layer_forward(g: Graph, H: np.ndarray, mlp1: Mlp, epsilon: float) -> np.ndarray:
+    """Plain update: MLP1((1 + eps) * H[v] + neighbor sum)."""
+    return _layer_internals(g, H, mlp1, epsilon)[0]
 
 
 def nc_gnn_layer_forward_edgefeat(
@@ -283,25 +281,14 @@ def nc_gnn_layer_forward_edgefeat(
     The pair message for the neighbor-edge (u1, u2) is
     MLP2(H[u1] + H[u2] + e_{u1 u2}).
     """
-    _check_features(g, H)
-    _check_edge_dims(H, feats)
-    base = (1.0 + layer.epsilon) * H + _rectified_neighbor_sums(g, H, feats)
-    vs, u1s, u2s = _flat_neighbor_edge_index(g)
-    if len(vs):
-        E = feats.values[[feats.row(a, b) for a, b in zip(u1s, u2s)]]
-        M = layer.mlp2.forward(H[u1s] + H[u2s] + E)
-        base = base + _pair_term(g, M, vs, H.shape[1])
-    return layer.mlp1.forward(base)
+    return _layer_internals(g, H, layer.mlp1, layer.epsilon, layer.mlp2, feats)[0]
 
 
 def gin_layer_forward_edgefeat(
     g: Graph, H: np.ndarray, feats: EdgeFeatures, mlp1: Mlp, epsilon: float
 ) -> np.ndarray:
     """Edge-featured plain update: MLP1((1 + eps) * H[v] + sum ReLU(H[u] + e_uv))."""
-    _check_features(g, H)
-    _check_edge_dims(H, feats)
-    base = (1.0 + epsilon) * H + _rectified_neighbor_sums(g, H, feats)
-    return mlp1.forward(base)
+    return _layer_internals(g, H, mlp1, epsilon, feats=feats)[0]
 
 
 def readout_sum(H: np.ndarray) -> np.ndarray:
@@ -319,7 +306,9 @@ def nc_gnn_layer_backward(
     the parameter gradients; on graphs without neighbor-edges the mlp2
     gradients are exactly zero.
     """
-    out, (vs, u1s, u2s, mlp2_cache, mlp1_cache) = _layer_internals(g, H, layer)
+    out, (vs, u1s, u2s, mlp2_cache, mlp1_cache) = _layer_internals(
+        g, H, layer.mlp1, layer.epsilon, layer.mlp2
+    )
     if upstream.shape != out.shape:
         raise ValueError(f"upstream shape {upstream.shape} != output shape {out.shape}")
 

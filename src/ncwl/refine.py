@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import product
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .graph import Graph, disjoint_union, neighbor_edge_lists
 
@@ -76,8 +76,13 @@ class Coloring:
 
     @classmethod
     def from_colors(cls, colors: Sequence[int]) -> "Coloring":
-        hist = tuple(sorted(Counter(colors).items()))
+        hist = _histogram(colors)
         return cls(tuple(colors), len(hist), hist)
+
+
+def _histogram(colors: Sequence[int]) -> Histogram:
+    """Sorted (color, count) pairs."""
+    return tuple(sorted(Counter(colors).items()))
 
 
 @dataclass(frozen=True)
@@ -205,7 +210,7 @@ def _intern_round(universes, colors: list[int] | None) -> list[int]:
     return new
 
 
-def _refine_to_convergence(universes) -> list[list[int]]:
+def _rounds(universes) -> Iterator[list[int]]:
     """Dense color arrays per iteration, ending with the first repeated partition.
 
     Dense ids are assigned by first appearance in entity order, which makes
@@ -214,33 +219,56 @@ def _refine_to_convergence(universes) -> list[list[int]]:
     count since every non-final round strictly splits some class.
     """
     colors = _intern_round(universes, None)
-    rounds = [colors]
-    total = len(colors)
-    for _ in range(total):
+    yield colors
+    for _ in range(len(colors)):
         new = _intern_round(universes, colors)
-        rounds.append(new)
+        yield new
         if new == colors:
-            break
+            return
         colors = new
-    return rounds
+    if colors:
+        raise AssertionError("refinement failed to stabilize within the entity bound")
 
 
-def _check_kwl_args(k: int, node_cap: int | None, *graphs: Graph) -> int:
-    if k not in (2, 3):
-        raise ValueError(f"k must be 2 or 3, got {k}")
+def _universes(method: str, graphs: Sequence[Graph], node_cap: int | None):
+    """The entity universes of one joint run over ``graphs`` by ``method``.
+
+    Returns the universes and the entity count of the first graph. The node
+    methods run on the disjoint union (one universe); the tuple methods keep
+    one tuple universe per graph and enforce the node cap (default
+    ``KWL_NODE_CAPS[k]``) on every graph.
+    """
+    if method in ("1wl", "nc1wl"):
+        g = graphs[0] if len(graphs) == 1 else disjoint_union(*graphs)[0]
+        return [_NodeUniverse(g, with_neighbor_edges=(method == "nc1wl"))], graphs[0].node_count
+    if method not in ("2wl", "3wl"):
+        raise ValueError(f"unknown method {method!r}")
+    k = int(method[0])
     cap = KWL_NODE_CAPS[k] if node_cap is None else node_cap
     for g in graphs:
         if g.node_count > cap:
             raise ValueError(
                 f"node count {g.node_count} exceeds the {k}-tuple cap of {cap} nodes"
             )
-    return cap
+    universes = [_TupleUniverse(g, k) for g in graphs]
+    return universes, universes[0].size
+
+
+def refine(g: Graph, method: str, node_cap: int | None = None) -> list[Coloring]:
+    """Per-iteration colorings (initial included) until the partition stabilizes.
+
+    ``method`` is one of :data:`METHODS`; ``node_cap`` bounds the node count
+    of the tuple methods (default ``KWL_NODE_CAPS[k]``) and raises
+    ValueError above it. Tuple colors are reported over all node_count**k
+    tuples in row-major order.
+    """
+    universes, _ = _universes(method, [g], node_cap)
+    return [Coloring.from_colors(c) for c in _rounds(universes)]
 
 
 def refine_1wl(g: Graph) -> list[Coloring]:
-    """Per-iteration colorings (initial included) until the partition stabilizes."""
-    rounds = _refine_to_convergence([_NodeUniverse(g, with_neighbor_edges=False)])
-    return [Coloring.from_colors(c) for c in rounds]
+    """Node colors refined by (own color, multiset of neighbor colors)."""
+    return refine(g, "1wl")
 
 
 def refine_nc1wl(g: Graph) -> list[Coloring]:
@@ -249,37 +277,14 @@ def refine_nc1wl(g: Graph) -> list[Coloring]:
     On triangle-free graphs every pair multiset is empty, so the produced
     coloring sequence coincides with the plain one.
     """
-    rounds = _refine_to_convergence([_NodeUniverse(g, with_neighbor_edges=True)])
-    return [Coloring.from_colors(c) for c in rounds]
+    return refine(g, "nc1wl")
 
 
 def refine_kwl(g: Graph, k: int, node_cap: int | None = None) -> list[Coloring]:
-    """Refinement over ordered k-tuples, k in {2, 3}.
-
-    Colors are reported over all node_count**k tuples in row-major order.
-    Raises ValueError when the node count exceeds the cap (default
-    ``KWL_NODE_CAPS[k]``).
-    """
-    _check_kwl_args(k, node_cap, g)
-    rounds = _refine_to_convergence([_TupleUniverse(g, k)])
-    return [Coloring.from_colors(c) for c in rounds]
-
-
-def refine(g: Graph, method: str, node_cap: int | None = None) -> list[Coloring]:
-    """Dispatch by method id ('1wl', 'nc1wl', '2wl', '3wl')."""
-    if method == "1wl":
-        return refine_1wl(g)
-    if method == "nc1wl":
-        return refine_nc1wl(g)
-    if method in ("2wl", "3wl"):
-        return refine_kwl(g, int(method[0]), node_cap)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _split_histograms(colors: list[int], split: int) -> tuple[Histogram, Histogram]:
-    h1 = tuple(sorted(Counter(colors[:split]).items()))
-    h2 = tuple(sorted(Counter(colors[split:]).items()))
-    return h1, h2
+    """Refinement over ordered k-tuples, k in {2, 3}; see :func:`refine`."""
+    if k not in (2, 3):
+        raise ValueError(f"k must be 2 or 3, got {k}")
+    return refine(g, f"{k}wl", node_cap)
 
 
 def compare(g1: Graph, g2: Graph, method: str, node_cap: int | None = None) -> RefinementReport:
@@ -290,36 +295,14 @@ def compare(g1: Graph, g2: Graph, method: str, node_cap: int | None = None) -> R
     the interner. Histograms are compared before every refinement round, so
     graphs with different node counts are distinguished at iteration 0.
     """
-    if method in ("1wl", "nc1wl"):
-        union, _ = disjoint_union(g1, g2)
-        universes = [_NodeUniverse(union, with_neighbor_edges=(method == "nc1wl"))]
-        split = g1.node_count
-    elif method in ("2wl", "3wl"):
-        k = int(method[0])
-        _check_kwl_args(k, node_cap, g1, g2)
-        universes = [_TupleUniverse(g1, k), _TupleUniverse(g2, k)]
-        split = g1.node_count**k
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
-    colors = _intern_round(universes, None)
-    pair = _split_histograms(colors, split)
-    hists = [pair]
-    if pair[0] != pair[1]:
-        return RefinementReport(method, VERDICT_DISTINGUISHED, 0, 0, tuple(hists))
-    total = len(colors)
-    if total == 0:
-        return RefinementReport(method, VERDICT_NOT_DISTINGUISHED, 0, None, tuple(hists))
-    for it in range(1, total + 1):
-        new = _intern_round(universes, colors)
-        pair = _split_histograms(new, split)
+    universes, split = _universes(method, [g1, g2], node_cap)
+    hists = []
+    for it, colors in enumerate(_rounds(universes)):
+        pair = (_histogram(colors[:split]), _histogram(colors[split:]))
         hists.append(pair)
         if pair[0] != pair[1]:
             return RefinementReport(method, VERDICT_DISTINGUISHED, it, it, tuple(hists))
-        if new == colors:
-            return RefinementReport(method, VERDICT_NOT_DISTINGUISHED, it, None, tuple(hists))
-        colors = new
-    raise AssertionError("refinement failed to stabilize within the entity bound")
+    return RefinementReport(method, VERDICT_NOT_DISTINGUISHED, len(hists) - 1, None, tuple(hists))
 
 
 def brute_force_isomorphic(g1: Graph, g2: Graph, node_cap: int = 10) -> bool:

@@ -182,3 +182,23 @@ class TestCodecCheckCommand:
         res = run_cli("codec-check", "--max-card", "4", "--base", "5")
         assert res.returncode == 2
         assert "need base > 8" in res.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gnn-embed", "GRAPH", "--dim", "0"),
+        ("gnn-embed", "GRAPH", "--dim", "two"),
+        ("gnn-embed", "GRAPH", "--layers", "-1"),
+        ("gnn-embed", "GRAPH", "--seed", "-1"),
+        ("suite", "--random-pairs", "-3"),
+        ("codec-check", "--max-card", "-1"),
+        ("codec-check", "--alphabet", "0"),
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_out_of_range_flag_values_exit_2(files, argv):
+    res = run_cli(*(files["c6"] if arg == "GRAPH" else arg for arg in argv))
+    assert res.returncode == 2, res.stdout + res.stderr
+    assert "Traceback" not in res.stderr
+    assert argv[-2] in res.stderr

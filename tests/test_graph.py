@@ -135,6 +135,29 @@ class TestBuild:
                 assert u in g.adjacency[v]
 
 
+class TestSharedEdgeValidation:
+    @pytest.mark.parametrize(
+        "edges, reason",
+        [
+            ([(0, 1), (0, 3)], "out of range"),
+            ([(0, 1), (-1, 2)], "out of range"),
+            ([(0, 1), (2, 2)], "self-loop"),
+            ([(0, 1), (1, 2), (0, 1)], "duplicate edge"),
+            ([(0, 1), (1, 2), (1, 0)], "duplicate edge"),
+        ],
+    )
+    def test_build_and_parser_reject_alike(self, edges, reason):
+        with pytest.raises(ValueError, match=reason) as built:
+            Graph.build(3, edges)
+        text = f"# comment\n3 {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+        with pytest.raises(GraphFormatError) as parsed:
+            parse_edge_list(text)
+        # comment, header, then the edge lines; the last edge is the bad one
+        line = 2 + len(edges)
+        assert parsed.value.line == line
+        assert str(parsed.value) == f"line {line}: {built.value}"
+
+
 class TestNeighborEdges:
     def test_k4_center(self):
         got = [e.endpoints for e in neighbor_edges(complete_graph(4), 0)]

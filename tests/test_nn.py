@@ -120,6 +120,23 @@ class TestForward:
         with pytest.raises(ValueError, match="row per node"):
             nc_gnn_layer_forward(complete_graph(3), np.eye(2), identity_layer(2))
 
+    def test_gin_forwards_build_no_neighbor_edge_index(self, monkeypatch):
+        import ncwl.nn
+
+        def refuse(g):
+            raise AssertionError("neighbor-edge index built on the plain path")
+
+        monkeypatch.setattr(ncwl.nn, "neighbor_edge_lists", refuse)
+        g = complete_graph(3)
+        H = np.eye(3)
+        assert np.array_equal(gin_layer_forward(g, H, identity_mlp(3), 0.0), np.ones((3, 3)))
+        feats = EdgeFeatures.zeros(g, 3)
+        gin_layer_forward_edgefeat(g, H, feats, identity_mlp(3), 0.0)
+        layers = stack_layers(seeded_rng(0, "gin-index"), 1, 2, 2)
+        embed_graph(g, layers, 1, variant="gin")
+        with pytest.raises(AssertionError, match="index built"):
+            nc_gnn_layer_forward(g, H, identity_layer(3))
+
     def test_epsilon_scales_self_term(self):
         g = Graph.build(1, [])
         out = nc_gnn_layer_forward(g, np.array([[2.0]]), identity_layer(1, epsilon=0.5))

@@ -14,6 +14,7 @@ from ncwl import (
     compare,
     cycle_graph,
     disjoint_union,
+    load_corpus,
     path_graph,
     permute_graph,
     random_gnp,
@@ -226,6 +227,23 @@ class TestCompare:
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="unknown method"):
             compare(path_graph(2), path_graph(2), "4wl")
+
+    def test_self_compare_observes_exactly_the_refine_rounds(self):
+        """compare is the refinement loop plus a histogram observer."""
+        rng = random.Random("compare-observer")
+        corpus = [g for entry in load_corpus() for g in entry.graphs()]
+        randoms = [
+            random_gnp(rng, rng.randint(0, 12), rng.choice([0.2, 0.5]), rng.choice([1, 2]))
+            for _ in range(30)
+        ]
+        for g in corpus + randoms:
+            for method in METHODS:
+                if method == "3wl" and g.node_count > 32:
+                    continue
+                seq = refine(g, method)
+                report = compare(g, g, method)
+                assert report.histograms == tuple((c.histogram, c.histogram) for c in seq)
+                assert report.iterations_run == len(seq) - 1
 
 
 class TestBruteForce:
