@@ -10,6 +10,7 @@ is ignored.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -28,6 +29,14 @@ from .harness import seeded_rng
 from .nn import embed_graph, stack_layers
 from .refine import METHODS, compare, refine
 from .suite import named_stream, run_suite
+
+
+#: Largest array ``gnn-embed`` may allocate (one-hot input, layer weights,
+#: node embeddings), in float64 entries: 2**25 entries is 256 MiB.
+MAX_EMBED_ARRAY_ENTRIES = 2**25
+#: Largest injectivity sweep ``codec-check`` may run, in objects built:
+#: the pair universe plus every pairwise and centered encoding.
+MAX_CODEC_SWEEP = 300_000
 
 
 def _read_graph(path: str):
@@ -110,6 +119,14 @@ def cmd_suite(args) -> int:
 def cmd_gnn_embed(args) -> int:
     g = _read_graph(args.graph)
     num_labels = max(g.labels, default=0) + 1
+    n, dim = g.node_count, args.dim
+    # one-hot input, then (with layers) mlp weights and node embeddings
+    sizes = [n * num_labels] + ([num_labels * dim, n * dim, dim * dim] if args.layers else [])
+    if max(sizes) > MAX_EMBED_ARRAY_ENTRIES:
+        raise ValueError(
+            f"an array of {max(sizes)} entries (nodes={n}, labels={num_labels}, dim={dim}) "
+            f"exceeds the limit of {MAX_EMBED_ARRAY_ENTRIES}"
+        )
     layers = stack_layers(seeded_rng(args.seed, "gnn-embed"), num_labels, args.dim, args.layers)
     vec = embed_graph(g, layers, num_labels, variant=args.variant)
     values = [f"{x:.17g}" for x in vec]
@@ -124,6 +141,17 @@ def cmd_codec_check(args) -> int:
         print(
             f"error: base {base} too small: need base > {required} "
             f"for multisets of cardinality up to {args.max_card}",
+            file=sys.stderr,
+        )
+        return 2
+    pairs = args.alphabet * (args.alphabet + 1) // 2
+    sweep = pairs + (args.alphabet + 1) * math.comb(
+        args.alphabet + args.max_card, args.max_card
+    ) * math.comb(pairs + args.max_card, args.max_card)
+    if sweep > MAX_CODEC_SWEEP:
+        print(
+            f"error: --alphabet {args.alphabet} --max-card {args.max_card} sweep builds "
+            f"{sweep} objects, over the limit of {MAX_CODEC_SWEEP}",
             file=sys.stderr,
         )
         return 2

@@ -10,12 +10,17 @@ The edge-list text format understood by :func:`parse_edge_list`:
   LF and CRLF both accepted
 
 Graphs are immutable after construction and safe to share across threads.
+Each graph's neighbor-edge index (the edges inside every node's
+neighborhood, one per triangle corner) is computed lazily on first use,
+once, and cached on the graph; every later reader shares that copy.
+Concurrent first calls compute equal values.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -69,6 +74,10 @@ class Graph:
       and no parallel edges;
     * adjacency is symmetric and describes exactly ``edge_set``;
     * ``edge_set`` stores each edge once as ``(u, v)`` with ``u < v``.
+
+    The neighbor-edge index behind :func:`neighbor_edge_lists` is computed
+    on first use and cached on the instance; it is not a field, so it takes
+    no part in equality or hashing.
     """
 
     node_count: int
@@ -109,6 +118,10 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return ((u, v) if u < v else (v, u)) in self.edge_set
+
+    @cached_property
+    def _neighbor_edge_index(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        return _list_neighbor_edges(self)
 
 
 @dataclass(frozen=True)
@@ -229,39 +242,29 @@ def serialize_edge_list(g: Graph) -> str:
 def neighbor_edges(g: Graph, v: int) -> list[NeighborEdge]:
     """All edges with both endpoints in N(v), ascending by (u1, u2).
 
-    Uses sorted-adjacency merge intersection: for each neighbor u1 of v, the
-    common neighbors of u1 and v that are larger than u1 close an edge
-    (u1, u2) inside N(v).
+    Reads the graph's neighbor-edge index, so the first call on a graph
+    lists the neighbor-edges of every node.
     """
     if not 0 <= v < g.node_count:
         raise ValueError(f"node id out of range: {v}")
-    adj = g.adjacency
-    nv = adj[v]
-    out: list[NeighborEdge] = []
-    for u1 in nv:
-        a, b = adj[u1], nv
-        i = j = 0
-        la, lb = len(a), len(b)
-        while i < la and j < lb:
-            x, y = a[i], b[j]
-            if x == y:
-                if x > u1:
-                    out.append(NeighborEdge(center=v, endpoints=(u1, x)))
-                i += 1
-                j += 1
-            elif x < y:
-                i += 1
-            else:
-                j += 1
-    return out
+    return [NeighborEdge(center=v, endpoints=pair) for pair in neighbor_edge_lists(g)[v]]
 
 
-def neighbor_edge_lists(g: Graph) -> list[list[tuple[int, int]]]:
-    """For every node v, the (u1, u2) pairs of edges inside N(v).
+def neighbor_edge_lists(g: Graph) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """For every node v, the (u1, u2) pairs of edges inside N(v), ascending.
 
-    Single edge-centric pass: an edge (u1, u2) belongs to node w's list iff w
-    is a common neighbor of u1 and u2 (i.e. they form a triangle). Iterating
-    edges in sorted order leaves every per-node list ascending in (u1, u2).
+    Computed once per graph and cached; every call returns the same object.
+    """
+    return g._neighbor_edge_index
+
+
+def _list_neighbor_edges(g: Graph) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The one triangle lister, an edge-centric pass over sorted adjacency.
+
+    An edge (u1, u2) belongs to node w's list iff w is a common neighbor of
+    u1 and u2 (they form a triangle); merge-intersecting the two sorted
+    adjacency lists finds every such w. Iterating edges in sorted order
+    leaves every per-node list ascending in (u1, u2).
     """
     adj = g.adjacency
     out: list[list[tuple[int, int]]] = [[] for _ in range(g.node_count)]
@@ -280,7 +283,7 @@ def neighbor_edge_lists(g: Graph) -> list[list[tuple[int, int]]]:
                 i += 1
             else:
                 j += 1
-    return out
+    return tuple(map(tuple, out))
 
 
 def stats(g: Graph) -> GraphStats:

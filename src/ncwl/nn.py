@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -157,46 +158,35 @@ def _exact_colsums(rows: np.ndarray, dim: int) -> np.ndarray:
     return np.array([math.fsum(rows[:, j]) for j in range(dim)])
 
 
+def _grouped_exact_sums(rows: np.ndarray, counts, dim: int, dtype=float) -> np.ndarray:
+    """Row v is the exact column sums of the next ``counts[v]`` rows of ``rows``."""
+    out = np.zeros((len(counts), dim), dtype=dtype)
+    start = 0
+    for v, c in enumerate(counts):
+        if c:
+            out[v] = _exact_colsums(rows[start : start + c], dim)
+            start += c
+    return out
+
+
 def _neighbor_sums(g: Graph, H: np.ndarray, feats: EdgeFeatures | None = None) -> np.ndarray:
     """Exact per-node sums of neighbor rows, or of ReLU(H[u] + e_uv) with ``feats``."""
-    out = np.zeros_like(H)
-    dim = H.shape[1]
-    for v, nb in enumerate(g.adjacency):
-        if nb:
-            rows = H[list(nb)]
-            if feats is not None:
-                rows = np.maximum(rows + feats.values[[feats.row(v, u) for u in nb]], 0.0)
-            out[v] = _exact_colsums(rows, dim)
-    return out
+    adj = g.adjacency
+    rows = H[np.fromiter(chain.from_iterable(adj), dtype=np.intp, count=2 * g.edge_count)]
+    if feats is not None:
+        edge_rows = [feats.row(v, u) for v, nb in enumerate(adj) for u in nb]
+        rows = np.maximum(rows + feats.values[edge_rows], 0.0)
+    return _grouped_exact_sums(rows, [len(nb) for nb in adj], H.shape[1], H.dtype)
 
 
 def _flat_neighbor_edge_index(g: Graph):
-    """Arrays (centers, u1s, u2s) over all neighbor-edges, ascending (v, u1, u2)."""
-    vs: list[int] = []
-    u1s: list[int] = []
-    u2s: list[int] = []
-    for v, pairs in enumerate(neighbor_edge_lists(g)):
-        for a, b in pairs:
-            vs.append(v)
-            u1s.append(a)
-            u2s.append(b)
-    return np.array(vs, dtype=np.intp), np.array(u1s, dtype=np.intp), np.array(u2s, dtype=np.intp)
-
-
-def _pair_term(g: Graph, M: np.ndarray, vs: np.ndarray, dim: int) -> np.ndarray:
-    """Per-node exact sums of the pair-message rows M grouped by center vs."""
-    out = np.zeros((g.node_count, dim))
-    # vs is ascending, so each center's rows form one contiguous block
-    start = 0
-    total = len(vs)
-    while start < total:
-        v = vs[start]
-        stop = start
-        while stop < total and vs[stop] == v:
-            stop += 1
-        out[v] = _exact_colsums(M[start:stop], dim)
-        start = stop
-    return out
+    """Per-node pair counts, and arrays (u1s, u2s) over all neighbor-edges in (v, u1, u2) order."""
+    lists = neighbor_edge_lists(g)
+    counts = np.array([len(pairs) for pairs in lists], dtype=np.intp)
+    flat = np.fromiter(
+        chain.from_iterable(chain.from_iterable(lists)), dtype=np.intp, count=2 * int(counts.sum())
+    ).reshape(-1, 2)
+    return counts, flat[:, 0], flat[:, 1]
 
 
 class EdgeFeatures:
@@ -250,17 +240,17 @@ def _layer_internals(
     if feats is not None and feats.dim != H.shape[1]:
         raise ValueError(f"edge feature dim {feats.dim} must equal node embedding dim {H.shape[1]}")
     base = (1.0 + epsilon) * H + _neighbor_sums(g, H, feats)
-    vs = u1s = u2s = mlp2_cache = None
+    counts = u1s = u2s = mlp2_cache = None
     if mlp2 is not None:
-        vs, u1s, u2s = _flat_neighbor_edge_index(g)
-        if len(vs):
+        counts, u1s, u2s = _flat_neighbor_edge_index(g)
+        if len(u1s):
             Y = H[u1s] + H[u2s]
             if feats is not None:
                 Y = Y + feats.values[[feats.row(a, b) for a, b in zip(u1s, u2s)]]
             M, mlp2_cache = mlp2._forward_cached(Y)
-            base = base + _pair_term(g, M, vs, H.shape[1])
+            base = base + _grouped_exact_sums(M, counts, H.shape[1])
     out, mlp1_cache = mlp1._forward_cached(base)
-    return out, (vs, u1s, u2s, mlp2_cache, mlp1_cache)
+    return out, (counts, u1s, u2s, mlp2_cache, mlp1_cache)
 
 
 def nc_gnn_layer_forward(g: Graph, H: np.ndarray, layer: NcGnnLayer) -> np.ndarray:
@@ -306,7 +296,7 @@ def nc_gnn_layer_backward(
     the parameter gradients; on graphs without neighbor-edges the mlp2
     gradients are exactly zero.
     """
-    out, (vs, u1s, u2s, mlp2_cache, mlp1_cache) = _layer_internals(
+    out, (counts, u1s, u2s, mlp2_cache, mlp1_cache) = _layer_internals(
         g, H, layer.mlp1, layer.epsilon, layer.mlp2
     )
     if upstream.shape != out.shape:
@@ -319,8 +309,8 @@ def nc_gnn_layer_backward(
     for u, nb in enumerate(g.adjacency):
         if nb:
             d_H[u] += d_base[list(nb)].sum(axis=0)
-    if len(vs):
-        d_M = d_base[vs]
+    if len(u1s):
+        d_M = np.repeat(d_base, counts, axis=0)
         d_Y, mlp2_grads = layer.mlp2._backward(mlp2_cache, d_M)
         np.add.at(d_H, u1s, d_Y)
         np.add.at(d_H, u2s, d_Y)

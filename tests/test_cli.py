@@ -169,6 +169,19 @@ class TestGnnEmbedCommand:
         vb = [float(x) for x in b.stdout.split()]
         assert max(abs(x - y) for x, y in zip(va, vb)) > 1e-6
 
+    @pytest.mark.parametrize(
+        "text, flags",
+        [("1 0\nlabels\n0 5000000000\n", ()), ("2 1\n0 1\n", ("--dim", "100000"))],
+        ids=["label-5e9", "dim-1e5"],
+    )
+    def test_oversized_arrays_exit_2(self, tmp_path, text, flags):
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        res = run_cli("gnn-embed", str(path), *flags)
+        assert res.returncode == 2, res.stdout + res.stderr
+        assert "exceeds the limit" in res.stderr
+        assert "Traceback" not in res.stderr
+
 
 class TestCodecCheckCommand:
     def test_defaults_pass(self):
@@ -182,6 +195,21 @@ class TestCodecCheckCommand:
         res = run_cli("codec-check", "--max-card", "4", "--base", "5")
         assert res.returncode == 2
         assert "need base > 8" in res.stderr
+
+    @pytest.mark.parametrize(
+        "alphabet, max_card", [("100", "4"), ("100000", "0")], ids=["card-4", "pairs-5e9"]
+    )
+    def test_oversized_sweep_exit_2(self, alphabet, max_card):
+        res = run_cli("codec-check", "--alphabet", alphabet, "--max-card", max_card)
+        assert res.returncode == 2, res.stdout + res.stderr
+        assert "over the limit" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert res.stdout == ""
+
+    def test_benchmark_sweep_passes(self):
+        res = run_cli("codec-check", "--alphabet", "4", "--max-card", "2")
+        assert res.returncode == 0
+        assert "990 pairwise" in res.stdout
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,17 +15,24 @@ from ncwl import (
     complete_graph,
     cycle_graph,
     disjoint_union,
+    embed_graph,
     empty_graph,
+    nc_gnn_layer_backward,
+    neighbor_edge_lists,
     neighbor_edges,
+    one_hot_features,
     parse_edge_list,
     path_graph,
     permute_graph,
     random_gnp,
+    refine_nc1wl,
     serialize_edge_list,
+    stack_layers,
     star_graph,
     stats,
     wheel_graph,
 )
+from ncwl.harness import seeded_rng
 
 from conftest import graphs
 
@@ -186,9 +194,37 @@ class TestNeighborEdges:
 
     @given(graphs(max_nodes=12))
     def test_matches_brute_force(self, g):
+        lists = neighbor_edge_lists(g)
+        assert isinstance(lists, tuple) and all(isinstance(p, tuple) for p in lists)
+        assert neighbor_edge_lists(g) is lists
         for v in range(g.node_count):
-            got = [e.endpoints for e in neighbor_edges(g, v)]
-            assert got == sorted(brute_force_neighbor_edges(g, v))
+            expected = sorted(brute_force_neighbor_edges(g, v))
+            assert list(lists[v]) == expected
+            assert [e.endpoints for e in neighbor_edges(g, v)] == expected
+
+
+def test_neighbor_edge_index_is_built_once_per_graph(monkeypatch):
+    import ncwl.graph
+
+    builds = []
+    original = ncwl.graph._list_neighbor_edges
+
+    def counting(g):
+        builds.append(g)
+        return original(g)
+
+    monkeypatch.setattr(ncwl.graph, "_list_neighbor_edges", counting)
+    g = random_gnp(random.Random("one-build"), 12, 0.5)
+    layers = stack_layers(seeded_rng(0, "one-build"), 1, 4, 3)
+    embed_graph(g, layers, 1)
+    nc_gnn_layer_backward(g, one_hot_features(g, 1), layers[0], np.ones((12, 4)))
+    refine_nc1wl(g)
+    stats(g)
+    assert len(builds) == 1
+    twin = Graph.build(g.node_count, g.edges(), g.labels)
+    assert twin == g and hash(twin) == hash(g)
+    assert stats(twin) == stats(g)
+    assert len(builds) == 2
 
 
 class TestStats:
