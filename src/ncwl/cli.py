@@ -252,7 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("refine", help="print per-iteration color histograms of one graph")
     p.add_argument("graph")
     p.add_argument("--method", choices=METHODS, default="1wl")
-    p.add_argument("--k-cap", type=int, default=None, help="node cap for the 2wl/3wl methods")
+    p.add_argument(
+        "--k-cap", type=_bounded_int(0), default=None, help="node cap for the 2wl/3wl methods"
+    )
     _add_format(p)
     p.set_defaults(func=cmd_refine)
 
@@ -260,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph1")
     p.add_argument("graph2")
     p.add_argument("--method", choices=METHODS, default="nc1wl")
-    p.add_argument("--k-cap", type=int, default=None)
+    p.add_argument("--k-cap", type=_bounded_int(0), default=None)
     _add_format(p)
     p.set_defaults(func=cmd_compare)
 

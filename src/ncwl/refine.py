@@ -8,33 +8,56 @@ Three refinement families over a shared core:
 * ``2wl``/``3wl`` -- colors on ordered k-tuples of nodes, refined by the k
   multisets obtained by substituting each tuple position.
 
-Hashing is realized as exact signature interning: every structured signature
-is a canonical tuple (multisets sorted, pairs as (min, max)) used as a
-dictionary key, so equal signatures get equal dense ids and distinct
-signatures distinct ids -- injective by construction, no collisions to
-analyze. A fresh interner per round yields dense ids 0..num_classes-1
-assigned in first-appearance order over the fixed entity order; since
-signatures embed the previous round's colors, reusing small ids across
-rounds cannot merge classes.
+Both engines hash exactly, with no collisions to analyze. Each round
+assigns dense ids 0..num_classes-1 in first-appearance order over the fixed
+entity order; since signatures embed the previous round's colors, reusing
+small ids across rounds cannot merge classes.
+
+* The node methods intern signatures: every structured signature is a
+  canonical tuple (multisets sorted, pairs as (min, max)) used as a
+  dictionary key of a fresh interner per round, so equal signatures get
+  equal ids and distinct signatures distinct ids.
+* The tuple methods relabel by sorting (the sorted-signature compression
+  of Shervashidze et al. 2011, without hashing). The multiset for position
+  i depends only on the other k-1 coordinates, so each round sorts the
+  colors of every fiber (the n tuples differing only at one position),
+  gives equal sorted fibers equal ids by one ``np.lexsort``, and then
+  relabels the (k+1)-integer rows of own color and fiber id per position
+  the same way. The ids equal those interning the tuple signatures would
+  give, bit for bit; :class:`_TupleUniverse` keeps that interning path as
+  the reference the tests compare against.
 
 Pairwise comparison interleaves the two graphs in one joint run (one
-interner), comparing the color histograms before every refinement round and
-reporting the first differing round, exactly as an isomorphism-test loop.
+interner or one sort over both graphs), comparing the color histograms
+before every refinement round and reporting the first differing round,
+exactly as an isomorphism-test loop.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
+
+import numpy as np
 
 from .graph import Graph, disjoint_union, neighbor_edge_lists
 
 METHODS = ("1wl", "nc1wl", "2wl", "3wl")
 
 #: Default node-count caps keeping the tuple universe at ~32k entities.
+#: Both tuple methods relabel by sorting, exactly; a caller may raise the cap
+#: up to :data:`MAX_TUPLE_ENTITIES`.
 KWL_NODE_CAPS = {2: 181, 3: 32}
+
+#: Largest tuple universe (node_count**k) of one graph, checked before any
+#: allocation whatever the node cap. Near the limit (3wl on 101 nodes, 2wl on
+#: 1024) the rounds alone peak at about 0.3 GB RSS for one graph and 0.45 GB
+#: for a joint run of two; with the colorings and histograms it keeps,
+#: ``refine`` peaks at about 0.5 GB and ``compare`` at about 0.8 GB.
+MAX_TUPLE_ENTITIES = 2**20
 
 VERDICT_DISTINGUISHED = "distinguished"
 VERDICT_NOT_DISTINGUISHED = "not-distinguished"
@@ -140,7 +163,11 @@ class _NodeUniverse:
 
 
 class _TupleUniverse:
-    """Entities are all node_count**k ordered tuples in row-major order."""
+    """Entities are all node_count**k ordered tuples in row-major order.
+
+    Interns each tuple's signature; kept as the reference that the sorting
+    engine (:func:`_sort_round`) is tested against.
+    """
 
     def __init__(self, g: Graph, k: int):
         self.graph = g
@@ -210,18 +237,110 @@ def _intern_round(universes, colors: list[int] | None) -> list[int]:
     return new
 
 
-def _rounds(universes) -> Iterator[list[int]]:
+def _dense_ids(keys: np.ndarray) -> np.ndarray:
+    """Ids of the columns of ``keys`` (one row per key component).
+
+    Equal columns get equal ids and distinct columns distinct ids, numbered
+    0, 1, ... in the order of their first occurrence: the ids a fresh
+    interner gives when fed the columns in order.
+    """
+    m = keys.shape[1]
+    order = np.lexsort(keys)
+    ranked = keys[:, order]
+    starts = np.empty(m, dtype=bool)
+    starts[:1] = True
+    np.any(ranked[:, 1:] != ranked[:, :-1], axis=0, out=starts[1:])
+    # lexsort is stable, so each group's first sorted column is its first occurrence
+    first = order[starts]
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
+    ids = np.empty(m, dtype=np.int64)
+    ids[order] = rank[np.cumsum(starts) - 1]
+    return ids
+
+
+def _sort_round(graphs: Sequence[Graph], k: int, colors: list[int] | None) -> list[int]:
+    """One synchronized k-tuple round over all graphs by sorting.
+
+    Entities are each graph's node_count**k tuples in row-major order,
+    graphs concatenated; the ids equal :func:`_intern_round`'s over one
+    :class:`_TupleUniverse` per graph.
+    """
+    if colors is None:
+        return _dense_ids(_atomic_type_keys(graphs, k)).tolist()
+    colors = np.asarray(colors, dtype=np.int64)
+    width = max(g.node_count for g in graphs)
+    cubes, fibers = [], []
+    off = 0
+    for g in graphs:
+        n = g.node_count
+        if n == 0:
+            continue
+        cube = colors[off : off + n**k].reshape((n,) * k)
+        off += n**k
+        cubes.append(cube)
+        for i in range(k):
+            fiber = np.full((n ** (k - 1), width), -1, dtype=np.int64)
+            # colors are non-negative, so fibers of different lengths never match
+            fiber[:, width - n :] = np.sort(np.moveaxis(cube, i, -1).reshape(-1, n), axis=1)
+            fibers.append(fiber)
+    if not cubes:
+        return []
+    fiber_ids = _dense_ids(np.concatenate(fibers).T)
+    rows, start = [], 0
+    for cube in cubes:
+        n = cube.shape[0]
+        row = np.empty((k + 1,) + cube.shape, dtype=np.int64)
+        row[0] = cube
+        for i in range(k):
+            ids = fiber_ids[start : start + n ** (k - 1)].reshape((n,) * (k - 1))
+            row[1 + i] = np.expand_dims(ids, i)
+            start += n ** (k - 1)
+        rows.append(row.reshape(k + 1, -1))
+    return _dense_ids(np.concatenate(rows, axis=1)).tolist()
+
+
+def _atomic_type_keys(graphs: Sequence[Graph], k: int) -> np.ndarray:
+    """Round-0 keys of every tuple, one row per key component.
+
+    The rows are the label rank of each position, then one code per
+    position pair: 2 for the same node, 1 for adjacent nodes, 0 otherwise.
+    Labels are ranked over all graphs in Python, so labels of any size
+    compare exactly.
+    """
+    rank = {lab: r for r, lab in enumerate(sorted({lab for g in graphs for lab in g.labels}))}
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    blocks = []
+    for g in graphs:
+        n = g.node_count
+        labels = np.array([rank[lab] for lab in g.labels], dtype=np.int64)
+        code = np.zeros((n, n), dtype=np.int64)
+        u, v = np.array(g.edges(), dtype=np.int64).reshape(-1, 2).T
+        code[u, v] = code[v, u] = 1
+        np.fill_diagonal(code, 2)
+        pos = np.indices((n,) * k, sparse=True)
+        block = np.empty((k + len(pairs),) + (n,) * k, dtype=np.int64)
+        for i in range(k):
+            block[i] = labels[pos[i]]
+        for r, (i, j) in enumerate(pairs, start=k):
+            block[r] = code[pos[i], pos[j]]
+        blocks.append(block.reshape(k + len(pairs), n**k))
+    return np.concatenate(blocks, axis=1)
+
+
+def _rounds(step: Callable[[list[int] | None], list[int]]) -> Iterator[list[int]]:
     """Dense color arrays per iteration, ending with the first repeated partition.
 
-    Dense ids are assigned by first appearance in entity order, which makes
-    two equal partitions literally equal as arrays; convergence is therefore
-    plain array equality. The number of rounds is bounded by the entity
-    count since every non-final round strictly splits some class.
+    ``step(None)`` is the initial coloring and ``step(colors)`` the next
+    round. Dense ids are assigned by first appearance in entity order, which
+    makes two equal partitions literally equal as arrays; convergence is
+    therefore plain array equality. The number of rounds is bounded by the
+    entity count since every non-final round strictly splits some class.
     """
-    colors = _intern_round(universes, None)
+    colors = step(None)
     yield colors
     for _ in range(len(colors)):
-        new = _intern_round(universes, colors)
+        new = step(colors)
         yield new
         if new == colors:
             return
@@ -231,16 +350,18 @@ def _rounds(universes) -> Iterator[list[int]]:
 
 
 def _universes(method: str, graphs: Sequence[Graph], node_cap: int | None):
-    """The entity universes of one joint run over ``graphs`` by ``method``.
+    """The round step of one joint run over ``graphs`` by ``method``.
 
-    Returns the universes and the entity count of the first graph. The node
-    methods run on the disjoint union (one universe); the tuple methods keep
-    one tuple universe per graph and enforce the node cap (default
-    ``KWL_NODE_CAPS[k]``) on every graph.
+    Returns the step for :func:`_rounds` and the entity count of the first
+    graph. The node methods intern signatures on the disjoint union; the
+    tuple methods relabel by sorting and enforce the node cap (default
+    ``KWL_NODE_CAPS[k]``) and :data:`MAX_TUPLE_ENTITIES` on every graph
+    before allocating anything.
     """
     if method in ("1wl", "nc1wl"):
         g = graphs[0] if len(graphs) == 1 else disjoint_union(*graphs)[0]
-        return [_NodeUniverse(g, with_neighbor_edges=(method == "nc1wl"))], graphs[0].node_count
+        universe = _NodeUniverse(g, with_neighbor_edges=(method == "nc1wl"))
+        return partial(_intern_round, [universe]), graphs[0].node_count
     if method not in ("2wl", "3wl"):
         raise ValueError(f"unknown method {method!r}")
     k = int(method[0])
@@ -250,8 +371,12 @@ def _universes(method: str, graphs: Sequence[Graph], node_cap: int | None):
             raise ValueError(
                 f"node count {g.node_count} exceeds the {k}-tuple cap of {cap} nodes"
             )
-    universes = [_TupleUniverse(g, k) for g in graphs]
-    return universes, universes[0].size
+        if g.node_count**k > MAX_TUPLE_ENTITIES:
+            raise ValueError(
+                f"{g.node_count}**{k} = {g.node_count**k} tuples exceed the limit of "
+                f"{MAX_TUPLE_ENTITIES}"
+            )
+    return partial(_sort_round, graphs, k), graphs[0].node_count**k
 
 
 def refine(g: Graph, method: str, node_cap: int | None = None) -> list[Coloring]:
@@ -262,8 +387,8 @@ def refine(g: Graph, method: str, node_cap: int | None = None) -> list[Coloring]
     ValueError above it. Tuple colors are reported over all node_count**k
     tuples in row-major order.
     """
-    universes, _ = _universes(method, [g], node_cap)
-    return [Coloring.from_colors(c) for c in _rounds(universes)]
+    step, _ = _universes(method, [g], node_cap)
+    return [Coloring.from_colors(c) for c in _rounds(step)]
 
 
 def refine_1wl(g: Graph) -> list[Coloring]:
@@ -291,13 +416,13 @@ def compare(g1: Graph, g2: Graph, method: str, node_cap: int | None = None) -> R
     """Joint refinement of two graphs with the verdict of the first histogram gap.
 
     The node methods run on the disjoint union (one shared interner by
-    construction); the tuple methods keep separate tuple universes but share
-    the interner. Histograms are compared before every refinement round, so
+    construction); the tuple methods relabel both graphs' tuples in the same
+    sorts. Histograms are compared before every refinement round, so
     graphs with different node counts are distinguished at iteration 0.
     """
-    universes, split = _universes(method, [g1, g2], node_cap)
+    step, split = _universes(method, [g1, g2], node_cap)
     hists = []
-    for it, colors in enumerate(_rounds(universes)):
+    for it, colors in enumerate(_rounds(step)):
         pair = (_histogram(colors[:split]), _histogram(colors[split:]))
         hists.append(pair)
         if pair[0] != pair[1]:

@@ -1,11 +1,19 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import subprocess
 import sys
+import tempfile
+import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncwl import (
+    METHODS,
     complete_graph,
     cycle_graph,
     disjoint_union,
@@ -14,6 +22,10 @@ from ncwl import (
     serialize_edge_list,
     wheel_graph,
 )
+from ncwl.cli import main
+from ncwl.refine import MAX_TUPLE_ENTITIES
+
+from conftest import graphs
 
 
 def run_cli(*args: str):
@@ -230,3 +242,90 @@ def test_out_of_range_flag_values_exit_2(files, argv):
     assert res.returncode == 2, res.stdout + res.stderr
     assert "Traceback" not in res.stderr
     assert argv[-2] in res.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("refine", "GRAPH", "--method", "3wl", "--k-cap", "100000"),
+        ("compare", "GRAPH", "GRAPH", "--method", "2wl", "--k-cap", "100000"),
+    ],
+    ids=["refine-3wl", "compare-2wl"],
+)
+def test_tuple_universe_over_limit_exits_2_before_allocating(tmp_path, capsys, argv):
+    path = tmp_path / "g.txt"
+    path.write_text("5000 0\n")
+    start = time.perf_counter()
+    code = main([str(path) if arg == "GRAPH" else arg for arg in argv])
+    elapsed = time.perf_counter() - start
+    assert code == 2
+    assert elapsed < 1.0
+    assert f"exceed the limit of {MAX_TUPLE_ENTITIES}" in capsys.readouterr().err
+
+
+def test_header_node_count_over_limit_exits_2(tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text("3000000000 0\n")
+    res = run_cli("refine", str(path))
+    assert res.returncode == 2, res.stdout + res.stderr
+    assert "line 1: node count 3000000000 exceeds the limit" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+@st.composite
+def edge_list_texts(draw):
+    """A small edge-list file, valid or corrupted in one way."""
+    g = draw(graphs(max_nodes=6, max_labels=3))
+    n, edges = g.node_count, g.edges()
+    lines = serialize_edge_list(g).splitlines()
+    fault = draw(
+        st.sampled_from(
+            ["none", "header", "out-of-range", "duplicate", "huge-label", "drop-line"]
+        )
+    )
+    if fault == "header":
+        lines[0] = draw(
+            st.sampled_from(["", "x y", "-1 0", f"{n}", f"{n} 1 2", f"{2**70} 0"])
+        )
+    elif fault == "out-of-range":
+        lines[1 : 1 + len(edges)] = [f"{u} {v}" for u, v in edges] + [f"0 {n}"]
+        lines[0] = f"{n} {len(edges) + 1}"
+    elif fault == "duplicate":
+        extra = f"{edges[0][1]} {edges[0][0]}" if edges else "0 0"
+        lines.insert(1, extra)
+        lines[0] = f"{n} {len(edges) + 1}"
+    elif fault == "huge-label":
+        huge = draw(st.sampled_from([2**63, 2**64 + 1, 10**30]))
+        lines = lines[: 1 + len(edges)] + ["labels"]
+        lines += [f"{v} {huge if v == 0 else lab}" for v, lab in enumerate(g.labels)]
+    elif fault == "drop-line" and len(lines) > 1:
+        del lines[draw(st.integers(min_value=0, max_value=len(lines) - 1))]
+    return "\n".join(lines) + "\n"
+
+
+@given(
+    st.sampled_from(["refine", "compare"]),
+    st.sampled_from(METHODS),
+    edge_list_texts(),
+    edge_list_texts(),
+    st.sampled_from([None, "-1", "0", "3", "40"]),
+)
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_files_keep_the_exit_code_contract(command, method, text1, text2, k_cap):
+    with tempfile.TemporaryDirectory() as root:
+        paths = [Path(root) / "a.txt", Path(root) / "b.txt"]
+        for path, text in zip(paths, (text1, text2)):
+            path.write_text(text)
+        argv = [command, str(paths[0])]
+        if command == "compare":
+            argv.append(str(paths[1]))
+        argv += ["--method", method] + ([] if k_cap is None else ["--k-cap", k_cap])
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the flag values
+                code = exc.code
+    assert code in (0, 1, 2)
+    assert code != 1 or command == "compare"
+    assert "Traceback" not in err.getvalue()

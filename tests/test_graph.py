@@ -32,6 +32,7 @@ from ncwl import (
     stats,
     wheel_graph,
 )
+from ncwl.graph import MAX_NODE_COUNT
 from ncwl.harness import seeded_rng
 
 from conftest import graphs
@@ -89,6 +90,14 @@ class TestParse:
         with pytest.raises(GraphFormatError, match="header"):
             parse_edge_list("banana")
 
+    def test_node_count_over_limit_rejected_at_the_header(self):
+        text = f"# huge\n{MAX_NODE_COUNT + 1} 0\n"
+        with pytest.raises(GraphFormatError, match="exceeds the limit") as exc:
+            parse_edge_list(text)
+        assert exc.value.line == 2
+        with pytest.raises(GraphFormatError, match="line 1: node count 3000000000"):
+            parse_edge_list("3000000000 0\n")
+
     def test_missing_edges(self):
         with pytest.raises(GraphFormatError, match="expected 2 edge lines"):
             parse_edge_list("3 2\n0 1")
@@ -134,6 +143,10 @@ class TestBuild:
     def test_rejects_bad_labels(self):
         with pytest.raises(ValueError, match="labels"):
             Graph.build(2, [], [1])
+
+    def test_rejects_node_count_over_limit(self):
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            Graph.build(MAX_NODE_COUNT + 1, [])
 
     def test_adjacency_sorted_and_symmetric(self):
         g = Graph.build(4, [(3, 0), (2, 0), (1, 0)])

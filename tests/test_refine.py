@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -24,8 +25,9 @@ from ncwl import (
     refine_nc1wl,
     star_graph,
 )
+from ncwl.refine import _intern_round, _rounds, _sort_round, _TupleUniverse, _universes
 
-from conftest import graphs
+from conftest import graphs, permutations_of
 
 
 def classes_of(coloring):
@@ -244,6 +246,111 @@ class TestCompare:
                 report = compare(g, g, method)
                 assert report.histograms == tuple((c.histogram, c.histogram) for c in seq)
                 assert report.iterations_run == len(seq) - 1
+
+
+def assert_sorting_matches_interning(graph_list, k):
+    """Every round of the dispatched k-tuple engine equals the interning reference."""
+    step, _ = _universes(f"{k}wl", graph_list, None)
+    assert step.func is _sort_round
+    reference = partial(_intern_round, [_TupleUniverse(g, k) for g in graph_list])
+    rounds = list(_rounds(step))
+    assert rounds == list(_rounds(reference))
+    assert all(type(c) is int for colors in rounds for c in colors)
+    return rounds
+
+
+class TestSortedTupleEngine:
+    """The sorting k-tuple engine against the interning reference, round by round."""
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_corpus(self, k):
+        for entry in load_corpus():
+            pair = list(entry.graphs())
+            for g in pair:
+                assert_sorting_matches_interning([g], k)
+            assert_sorting_matches_interning(pair, k)
+
+    @given(
+        graphs(max_nodes=8, max_labels=3),
+        graphs(max_nodes=8, max_labels=3),
+        st.sampled_from([2, 3]),
+        st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_hypothesis_graphs_with_permuted_and_random_partners(self, g, other, k, data):
+        h = permute_graph(g, data.draw(permutations_of(g.node_count)))
+        assert_sorting_matches_interning([g], k)
+        assert_sorting_matches_interning([g, h], k)
+        assert_sorting_matches_interning([g, other], k)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_zero_and_one_nodes(self, k):
+        empty, single = Graph.build(0, []), Graph.build(1, [], [5])
+        for graph_list in ([empty], [single], [empty, empty], [empty, single], [single, empty]):
+            assert_sorting_matches_interning(graph_list, k)
+        assert refine(empty, f"{k}wl")[0].colors == ()
+        assert compare(single, single, f"{k}wl").iterations_run == 1
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_labels_beyond_int64(self, k):
+        huge = path_graph(4, [2**63, 10**30, 2**63, 2**64 + 1])
+        small = path_graph(4, [1, 2, 1, 3])
+        assert_sorting_matches_interning([huge], k)
+        assert_sorting_matches_interning([huge, small], k)
+        assert [c.colors for c in refine(huge, f"{k}wl")] == [
+            c.colors for c in refine(small, f"{k}wl")
+        ]
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_joint_run_of_different_sizes_past_round_zero(self, k):
+        # every fiber of K3 is K4's minus one adjacent entry, so the fibers
+        # of different lengths must never share an id; compare stops at
+        # round 0 for such pairs, so the generator is driven directly
+        for pair in ([complete_graph(3), complete_graph(4)], [path_graph(3), star_graph(3)]):
+            rounds = assert_sorting_matches_interning(pair, k)
+            assert len(rounds) > 2
+
+
+class TestVf2Oracle:
+    """Verdicts above the brute-force cap (n = 11..26) against networkx's VF2."""
+
+    @staticmethod
+    def to_networkx(nx, g):
+        h = nx.Graph()
+        h.add_nodes_from((v, {"label": lab}) for v, lab in enumerate(g.labels))
+        h.add_edges_from(g.edges())
+        return h
+
+    def test_verdicts_agree_with_vf2(self):
+        nx = pytest.importorskip("networkx")
+
+        def isomorphic(a, b):
+            return nx.is_isomorphic(
+                self.to_networkx(nx, a),
+                self.to_networkx(nx, b),
+                node_match=lambda x, y: x["label"] == y["label"],
+            )
+
+        rng = random.Random("vf2-oracle")
+        for trial in range(16):
+            n = rng.randint(11, 26)
+            g = random_gnp(rng, n, rng.uniform(0.15, 0.5), num_labels=rng.choice([1, 2]))
+            perm = list(range(n))
+            rng.shuffle(perm)
+            twin = permute_graph(g, perm)
+            if trial % 2 and g.edge_count >= 4:
+                # a degree-preserving edge swap: 1wl cannot tell it from g
+                swapped = nx.double_edge_swap(self.to_networkx(nx, g), nswap=1, seed=trial)
+                other = Graph.build(n, list(swapped.edges()), g.labels)
+            else:
+                other = random_gnp(rng, n, rng.uniform(0.15, 0.5), num_labels=2)
+            iso = isomorphic(g, other)
+            for method in METHODS:
+                if compare(g, other, method).distinguished:
+                    assert not iso, (method, trial)
+            assert isomorphic(g, twin)
+            for method in ("2wl", "3wl"):
+                assert not compare(g, twin, method).distinguished, (method, trial)
 
 
 class TestBruteForce:
