@@ -13,8 +13,10 @@ The edge-list text format understood by :func:`parse_edge_list`:
 Graphs are immutable after construction and safe to share across threads.
 Each graph's neighbor-edge index (the edges inside every node's
 neighborhood, one per triangle corner) is computed lazily on first use,
-once, and cached on the graph; every later reader shares that copy.
-Concurrent first calls compute equal values.
+once, and cached on the graph; every later reader shares that copy. So are
+the read-only numpy views of the adjacency (:func:`adjacency_arrays`) and of
+the index (:func:`neighbor_edge_arrays`). Concurrent first calls compute
+equal values.
 """
 
 from __future__ import annotations
@@ -23,8 +25,10 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Sequence
 
+import numpy as np
 
 #: Largest node count a graph may have. Checked before anything is allocated
 #: for it, so a two-line file cannot ask for billions of adjacency lists.
@@ -83,9 +87,10 @@ class Graph:
     * adjacency is symmetric and describes exactly ``edge_set``;
     * ``edge_set`` stores each edge once as ``(u, v)`` with ``u < v``.
 
-    The neighbor-edge index behind :func:`neighbor_edge_lists` is computed
-    on first use and cached on the instance; it is not a field, so it takes
-    no part in equality or hashing.
+    The neighbor-edge index behind :func:`neighbor_edge_lists` and the array
+    views of :func:`adjacency_arrays` and :func:`neighbor_edge_arrays` are
+    computed on first use and cached on the instance; they are not fields,
+    so they take no part in equality or hashing.
     """
 
     node_count: int
@@ -132,6 +137,29 @@ class Graph:
     @cached_property
     def _neighbor_edge_index(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         return _list_neighbor_edges(self)
+
+    @cached_property
+    def _adjacency_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        adj = self.adjacency
+        degrees = _frozen(np.fromiter(map(len, adj), dtype=np.intp, count=self.node_count))
+        neighbors = np.fromiter(chain.from_iterable(adj), dtype=np.intp, count=2 * self.edge_count)
+        return degrees, _frozen(neighbors)
+
+    @cached_property
+    def _neighbor_edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # read through neighbor_edge_lists, so whoever watches the index sees this build
+        lists = neighbor_edge_lists(self)
+        counts = np.fromiter(map(len, lists), dtype=np.intp, count=self.node_count)
+        total = int(counts.sum())
+        flat = np.fromiter(
+            chain.from_iterable(chain.from_iterable(lists)), dtype=np.intp, count=2 * total
+        ).reshape(total, 2)
+        return _frozen(counts), _frozen(flat[:, 0]), _frozen(flat[:, 1])
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -270,6 +298,25 @@ def neighbor_edge_lists(g: Graph) -> tuple[tuple[tuple[int, int], ...], ...]:
     Computed once per graph and cached; every call returns the same object.
     """
     return g._neighbor_edge_index
+
+
+def adjacency_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (degrees, neighbors): every node's sorted adjacency list, concatenated.
+
+    Node v's neighbors are ``neighbors[s : s + degrees[v]]`` with ``s`` the
+    sum of the degrees before v (CSR). Computed once per graph and cached.
+    """
+    return g._adjacency_arrays
+
+
+def neighbor_edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (counts, u1s, u2s): :func:`neighbor_edge_lists` as flat arrays.
+
+    ``counts[v]`` is the number of neighbor-edges of v, and ``(u1s[i],
+    u2s[i])`` run over all of them in (v, u1, u2) order. Computed once per
+    graph and cached.
+    """
+    return g._neighbor_edge_arrays
 
 
 def _list_neighbor_edges(g: Graph) -> tuple[tuple[tuple[int, int], ...], ...]:

@@ -21,11 +21,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
-from .graph import Graph, neighbor_edge_lists
+from .graph import Graph, adjacency_arrays, neighbor_edge_arrays
 
 
 @dataclass(eq=False)
@@ -158,11 +157,11 @@ def _exact_colsums(rows: np.ndarray, dim: int) -> np.ndarray:
     return np.array([math.fsum(rows[:, j]) for j in range(dim)])
 
 
-def _grouped_exact_sums(rows: np.ndarray, counts, dim: int, dtype=float) -> np.ndarray:
+def _grouped_exact_sums(rows: np.ndarray, counts: np.ndarray, dim: int, dtype=float) -> np.ndarray:
     """Row v is the exact column sums of the next ``counts[v]`` rows of ``rows``."""
     out = np.zeros((len(counts), dim), dtype=dtype)
     start = 0
-    for v, c in enumerate(counts):
+    for v, c in enumerate(counts.tolist()):
         if c:
             out[v] = _exact_colsums(rows[start : start + c], dim)
             start += c
@@ -171,22 +170,12 @@ def _grouped_exact_sums(rows: np.ndarray, counts, dim: int, dtype=float) -> np.n
 
 def _neighbor_sums(g: Graph, H: np.ndarray, feats: EdgeFeatures | None = None) -> np.ndarray:
     """Exact per-node sums of neighbor rows, or of ReLU(H[u] + e_uv) with ``feats``."""
-    adj = g.adjacency
-    rows = H[np.fromiter(chain.from_iterable(adj), dtype=np.intp, count=2 * g.edge_count)]
+    degrees, neighbors = adjacency_arrays(g)
+    rows = H[neighbors]
     if feats is not None:
-        edge_rows = [feats.row(v, u) for v, nb in enumerate(adj) for u in nb]
+        edge_rows = [feats.row(v, u) for v, nb in enumerate(g.adjacency) for u in nb]
         rows = np.maximum(rows + feats.values[edge_rows], 0.0)
-    return _grouped_exact_sums(rows, [len(nb) for nb in adj], H.shape[1], H.dtype)
-
-
-def _flat_neighbor_edge_index(g: Graph):
-    """Per-node pair counts, and arrays (u1s, u2s) over all neighbor-edges in (v, u1, u2) order."""
-    lists = neighbor_edge_lists(g)
-    counts = np.array([len(pairs) for pairs in lists], dtype=np.intp)
-    flat = np.fromiter(
-        chain.from_iterable(chain.from_iterable(lists)), dtype=np.intp, count=2 * int(counts.sum())
-    ).reshape(-1, 2)
-    return counts, flat[:, 0], flat[:, 1]
+    return _grouped_exact_sums(rows, degrees, H.shape[1], H.dtype)
 
 
 class EdgeFeatures:
@@ -242,7 +231,7 @@ def _layer_internals(
     base = (1.0 + epsilon) * H + _neighbor_sums(g, H, feats)
     counts = u1s = u2s = mlp2_cache = None
     if mlp2 is not None:
-        counts, u1s, u2s = _flat_neighbor_edge_index(g)
+        counts, u1s, u2s = neighbor_edge_arrays(g)
         if len(u1s):
             Y = H[u1s] + H[u2s]
             if feats is not None:

@@ -8,34 +8,37 @@ Three refinement families over a shared core:
 * ``2wl``/``3wl`` -- colors on ordered k-tuples of nodes, refined by the k
   multisets obtained by substituting each tuple position.
 
-Both engines hash exactly, with no collisions to analyze. Each round
-assigns dense ids 0..num_classes-1 in first-appearance order over the fixed
-entity order; since signatures embed the previous round's colors, reusing
-small ids across rounds cannot merge classes.
+All four methods relabel by sorting (the sorted-signature compression of
+Shervashidze et al. 2011, without hashing), so "injective hash" holds
+exactly, with no collisions to analyze. Each round assigns dense ids
+0..num_classes-1 in first-appearance order over the fixed entity order;
+since signatures embed the previous round's colors, reusing small ids
+across rounds cannot merge classes.
 
-* The node methods intern signatures: every structured signature is a
-  canonical tuple (multisets sorted, pairs as (min, max)) used as a
-  dictionary key of a fresh interner per round, so equal signatures get
-  equal ids and distinct signatures distinct ids.
-* The tuple methods relabel by sorting (the sorted-signature compression
-  of Shervashidze et al. 2011, without hashing). The multiset for position
-  i depends only on the other k-1 coordinates, so each round sorts the
-  colors of every fiber (the n tuples differing only at one position),
-  gives equal sorted fibers equal ids by one ``np.lexsort``, and then
-  relabels the (k+1)-integer rows of own color and fiber id per position
-  the same way. The ids equal those interning the tuple signatures would
-  give, bit for bit; :class:`_TupleUniverse` keeps that interning path as
-  the reference the tests compare against.
+* The node methods gather every node's neighbor colors, and for nc1wl the
+  color pairs of its neighbor-edges coded as one integer, into padded rows
+  (:func:`_width_classes`, built once per run), sort each row, and give
+  equal rows equal ids by one sort per width class.
+* The tuple methods use that the multiset for position i depends only on
+  the other k-1 coordinates: each round sorts the colors of every fiber
+  (the n tuples differing only at one position), gives equal sorted fibers
+  equal ids by one sort, and then relabels the (k+1)-integer rows of own
+  color and fiber id per position the same way.
 
-Pairwise comparison interleaves the two graphs in one joint run (one
-interner or one sort over both graphs), comparing the color histograms
-before every refinement round and reporting the first differing round,
-exactly as an isomorphism-test loop.
+The ids equal those a fresh interner gives the canonical signature tuples
+(multisets sorted, pairs as (min, max)), bit for bit. That interning path
+is kept as the reference the tests compare against:
+:class:`_NodeUniverse` and :class:`_TupleUniverse` under
+:func:`_intern_round`.
+
+Pairwise comparison interleaves the two graphs in one joint run (the node
+methods on their disjoint union, the tuple methods in the same sorts),
+comparing the color histograms before every refinement round and
+reporting the first differing round, exactly as an isomorphism-test loop.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from itertools import product
@@ -43,7 +46,13 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .graph import Graph, disjoint_union, neighbor_edge_lists
+from .graph import (
+    Graph,
+    adjacency_arrays,
+    disjoint_union,
+    neighbor_edge_arrays,
+    neighbor_edge_lists,
+)
 
 METHODS = ("1wl", "nc1wl", "2wl", "3wl")
 
@@ -104,8 +113,14 @@ class Coloring:
 
 
 def _histogram(colors: Sequence[int]) -> Histogram:
-    """Sorted (color, count) pairs."""
-    return tuple(sorted(Counter(colors).items()))
+    """Sorted (color, count) pairs of non-negative colors.
+
+    Counts by ``np.bincount``, so the colors must be dense ids: the count
+    array spans every value up to the largest color.
+    """
+    counts = np.bincount(np.asarray(colors, dtype=np.int64))
+    present = np.flatnonzero(counts)
+    return tuple(zip(present.tolist(), counts[present].tolist()))
 
 
 @dataclass(frozen=True)
@@ -130,7 +145,11 @@ class RefinementReport:
 
 
 class _NodeUniverse:
-    """Entities are the nodes of one graph; supports 1wl and nc1wl signatures."""
+    """Entities are the nodes of one graph; supports 1wl and nc1wl signatures.
+
+    Interns each node's signature; kept as the reference that the sorting
+    engine (:func:`_node_round`) is tested against.
+    """
 
     def __init__(self, g: Graph, with_neighbor_edges: bool):
         self.graph = g
@@ -237,26 +256,192 @@ def _intern_round(universes, colors: list[int] | None) -> list[int]:
     return new
 
 
-def _dense_ids(keys: np.ndarray) -> np.ndarray:
-    """Ids of the columns of ``keys`` (one row per key component).
+#: Widest rows :func:`_dense_ids` sorts by ``np.lexsort``, one stable pass
+#: per column. Wider rows are sorted once as opaque byte strings. On the
+#: benchmark's rows, 2 vCPUs: 3wl rows of 35152 x 4 took 13 ms by lexsort
+#: and 17 ms by bytes over 3 rounds, 1wl mesh rows of 2500 x 7 tied (8 ms
+#: over 26 rounds), nc1wl mesh rows of 2500 x 13 took 11 ms and 7 ms, and
+#: 3wl fibers of 4056 x 26 took 3.7 ms and 2.0 ms.
+_LEXSORT_MAX_WIDTH = 6
 
-    Equal columns get equal ids and distinct columns distinct ids, numbered
-    0, 1, ... in the order of their first occurrence: the ids a fresh
-    interner gives when fed the columns in order.
+
+def _dense_ids(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ids of the int64 ``rows`` and the row where each id first occurs.
+
+    Equal rows get equal ids and distinct rows distinct ids, numbered 0, 1,
+    ... in the order of their first occurrence: the ids a fresh interner
+    gives when fed the rows in order. ``firsts[i]`` is the row where id i
+    first occurs.
     """
-    m = keys.shape[1]
-    order = np.lexsort(keys)
-    ranked = keys[:, order]
+    m, width = rows.shape
+    if width <= _LEXSORT_MAX_WIDTH:
+        order = np.lexsort(rows.T)
+    else:
+        # any total order groups equal rows; byte order needs one sort
+        rows = np.ascontiguousarray(rows)
+        as_bytes = rows.view(np.dtype((np.void, width * rows.itemsize))).ravel()
+        order = as_bytes.argsort(kind="stable")
+    ranked = rows[order]
     starts = np.empty(m, dtype=bool)
     starts[:1] = True
-    np.any(ranked[:, 1:] != ranked[:, :-1], axis=0, out=starts[1:])
-    # lexsort is stable, so each group's first sorted column is its first occurrence
+    (ranked[1:] != ranked[:-1]).any(axis=1, out=starts[1:])
+    # the sorts are stable, so each group's first sorted row is its first occurrence
     first = order[starts]
+    by_first = first.argsort()
     rank = np.empty(len(first), dtype=np.int64)
-    rank[np.argsort(first)] = np.arange(len(first))
+    rank[by_first] = np.arange(len(first))
     ids = np.empty(m, dtype=np.int64)
-    ids[order] = rank[np.cumsum(starts) - 1]
-    return ids
+    ids[order] = rank[starts.cumsum() - 1]
+    return ids, first[by_first]
+
+
+@dataclass(frozen=True)
+class _WidthClass:
+    """Nodes whose signature rows are padded to one width.
+
+    ``nodes`` ascend. ``index`` holds one row of gather indices per node:
+    the first endpoints of its ``pairs`` neighbor-edge slots, then their
+    second endpoints, then its neighbor slots, then the node itself.
+    Indices point into the colors extended by one sentinel of color -1,
+    which fills the slots a shorter row does not use.
+    """
+
+    nodes: np.ndarray
+    pairs: int
+    index: np.ndarray
+
+
+#: A width class takes in the next group of nodes while its padded area
+#: stays within _PAD_FACTOR * (entries + rows) + _PAD_SLACK, so a graph's
+#: padded rows stay within a constant factor of its entries plus nodes.
+#: Every benchmark graph is one class; a star or a wheel is two.
+_PAD_FACTOR, _PAD_SLACK = 2, 64
+
+
+def _width_classes(g: Graph, with_neighbor_edges: bool) -> list[_WidthClass]:
+    """The padded gather matrices of ``g``'s nodes, built once per run."""
+    n = g.node_count
+    if n == 0:
+        return []
+    degrees, neighbors = adjacency_arrays(g)
+    if with_neighbor_edges:
+        counts, u1s, u2s = neighbor_edge_arrays(g)
+    else:
+        counts, u1s, u2s = np.zeros_like(degrees), neighbors[:0], neighbors[:0]
+    classes = []
+    for nodes in _class_members(degrees, counts):
+        u1, u2 = _padded(counts, nodes, n, u1s, u2s)
+        (nbr,) = _padded(degrees, nodes, n, neighbors)
+        index = np.concatenate([u1, u2, nbr, nodes[:, None]], axis=1)
+        classes.append(_WidthClass(nodes, u1.shape[1], index))
+    return classes
+
+
+def _class_members(degrees: np.ndarray, counts: np.ndarray) -> list[np.ndarray]:
+    """The ascending nodes of each width class.
+
+    All nodes form one class when they fit the padding budget. Otherwise
+    nodes are grouped by (degree, neighbor-edge count), whose signatures
+    always differ between groups, and the groups, taken by row length, are
+    merged greedily into classes under the budget.
+    """
+    n = len(degrees)
+    lengths = degrees + counts
+    budget = _PAD_FACTOR * (int(lengths.sum()) + n) + _PAD_SLACK
+    if n * (int(degrees.max()) + int(counts.max())) <= budget:
+        return [np.arange(n)]
+    order = np.lexsort((degrees, lengths))
+    by_len, by_deg = lengths[order], degrees[order]
+    starts = np.flatnonzero(np.r_[True, (by_len[1:] != by_len[:-1]) | (by_deg[1:] != by_deg[:-1])])
+    sizes = np.diff(np.r_[starts, n]).tolist()
+    cuts = []
+    rows = entries = max_deg = max_count = 0
+    for start, size, length, deg in zip(
+        starts.tolist(), sizes, by_len[starts].tolist(), by_deg[starts].tolist()
+    ):
+        wide_deg, wide_count = max(max_deg, deg), max(max_count, length - deg)
+        area = (rows + size) * (wide_deg + wide_count)
+        if rows and area > _PAD_FACTOR * (entries + size * length + rows + size) + _PAD_SLACK:
+            cuts.append(start)
+            rows = entries = 0
+            wide_deg, wide_count = deg, length - deg
+        rows += size
+        entries += size * length
+        max_deg, max_count = wide_deg, wide_count
+    return [np.sort(members) for members in np.split(order, cuts)]
+
+
+def _padded(widths: np.ndarray, nodes: np.ndarray, sentinel: int, *flat: np.ndarray) -> list:
+    """The rows of ``nodes`` in each CSR array of ``flat``, one matrix per array.
+
+    Row v of a CSR array holds ``widths[v]`` entries; shorter rows are
+    padded with ``sentinel`` to the widest row of ``nodes``.
+    """
+    w = widths[nodes]
+    mask = np.arange(w.max()) < w[:, None]
+    if len(nodes) == len(widths):
+        src = slice(None)  # ascending distinct nodes: all of them, in order
+    else:
+        starts = np.cumsum(widths) - widths
+        src = np.repeat(starts[nodes] - (np.cumsum(w) - w), w) + np.arange(int(w.sum()))
+    out = []
+    for values in flat:
+        rows = np.full(mask.shape, sentinel, dtype=np.intp)
+        rows[mask] = values[src]
+        out.append(rows)
+    return out
+
+
+def _node_round(
+    classes: list[_WidthClass], labels: Sequence[int], colors: list[int] | None
+) -> list[int]:
+    """One 1wl or nc1wl round over the nodes of one graph by sorting.
+
+    Each class relabels its rows [sorted pair codes, sorted neighbor colors,
+    own color] with one :func:`_dense_ids`; a pair (a, b) of colors, both
+    below the node count n, is coded ``min * n + max``. Padding slots hold
+    the sentinel's -1 or its code -n - 1, which no real entry takes, so
+    equal rows have equal degree and pair count. The classes, holding
+    disjoint signatures, merge into global ids by the rank of each group's
+    first node. The ids equal :func:`_intern_round`'s over one
+    :class:`_NodeUniverse`.
+    """
+    if colors is None:
+        ids = {lab: i for i, lab in enumerate(dict.fromkeys(labels))}
+        return [ids[lab] for lab in labels]
+    n = len(colors)
+    ext = np.empty(n + 1, dtype=np.int64)
+    ext[:n] = colors
+    ext[n] = -1
+    parts = []
+    for cls in classes:
+        p = cls.pairs
+        rows = ext[cls.index]
+        if p:
+            a, b = rows[:, :p], rows[:, p : 2 * p]
+            codes = np.minimum(a, b) * n + np.maximum(a, b)
+            codes.sort(axis=1)
+            rows[:, p : 2 * p] = codes
+        rows[:, 2 * p : -1].sort(axis=1)
+        # keys: sorted pair codes, sorted neighbor colors, own color
+        parts.append(_dense_ids(rows[:, p:]))
+    if len(parts) == 1:
+        return parts[0][0].tolist()
+    firsts = np.concatenate([cls.nodes[first] for cls, (_, first) in zip(classes, parts)])
+    rank = np.empty(len(firsts), dtype=np.int64)
+    rank[np.argsort(firsts)] = np.arange(len(firsts))
+    new = np.empty(n, dtype=np.int64)
+    offset = 0
+    for cls, (ids, first) in zip(classes, parts):
+        new[cls.nodes] = rank[offset + ids]
+        offset += len(first)
+    return new.tolist()
+
+
+#: Per k, the axis orders that move tuple position i last, for i = 0..k-1.
+_FIBER_AXES = {
+    k: [tuple(j for j in range(k) if j != i) + (i,) for i in range(k)] for k in (2, 3)
+}
 
 
 def _sort_round(graphs: Sequence[Graph], k: int, colors: list[int] | None) -> list[int]:
@@ -267,7 +452,7 @@ def _sort_round(graphs: Sequence[Graph], k: int, colors: list[int] | None) -> li
     :class:`_TupleUniverse` per graph.
     """
     if colors is None:
-        return _dense_ids(_atomic_type_keys(graphs, k)).tolist()
+        return _dense_ids(_atomic_type_keys(graphs, k).T)[0].tolist()
     colors = np.asarray(colors, dtype=np.int64)
     width = max(g.node_count for g in graphs)
     cubes, fibers = [], []
@@ -279,25 +464,26 @@ def _sort_round(graphs: Sequence[Graph], k: int, colors: list[int] | None) -> li
         cube = colors[off : off + n**k].reshape((n,) * k)
         off += n**k
         cubes.append(cube)
-        for i in range(k):
+        for axes in _FIBER_AXES[k]:
             fiber = np.full((n ** (k - 1), width), -1, dtype=np.int64)
             # colors are non-negative, so fibers of different lengths never match
-            fiber[:, width - n :] = np.sort(np.moveaxis(cube, i, -1).reshape(-1, n), axis=1)
+            fiber[:, width - n :] = np.sort(cube.transpose(axes).reshape(-1, n), axis=1)
             fibers.append(fiber)
     if not cubes:
         return []
-    fiber_ids = _dense_ids(np.concatenate(fibers).T)
+    fiber_ids = _dense_ids(np.concatenate(fibers))[0]
     rows, start = [], 0
     for cube in cubes:
         n = cube.shape[0]
         row = np.empty((k + 1,) + cube.shape, dtype=np.int64)
         row[0] = cube
         for i in range(k):
-            ids = fiber_ids[start : start + n ** (k - 1)].reshape((n,) * (k - 1))
-            row[1 + i] = np.expand_dims(ids, i)
+            # fiber i's ids broadcast along axis i
+            shape = (n,) * i + (1,) + (n,) * (k - 1 - i)
+            row[1 + i] = fiber_ids[start : start + n ** (k - 1)].reshape(shape)
             start += n ** (k - 1)
         rows.append(row.reshape(k + 1, -1))
-    return _dense_ids(np.concatenate(rows, axis=1)).tolist()
+    return _dense_ids(np.concatenate(rows, axis=1).T)[0].tolist()
 
 
 def _atomic_type_keys(graphs: Sequence[Graph], k: int) -> np.ndarray:
@@ -353,15 +539,17 @@ def _universes(method: str, graphs: Sequence[Graph], node_cap: int | None):
     """The round step of one joint run over ``graphs`` by ``method``.
 
     Returns the step for :func:`_rounds` and the entity count of the first
-    graph. The node methods intern signatures on the disjoint union; the
-    tuple methods relabel by sorting and enforce the node cap (default
-    ``KWL_NODE_CAPS[k]``) and :data:`MAX_TUPLE_ENTITIES` on every graph
-    before allocating anything.
+    graph. Every method relabels by sorting: the node methods over the
+    width classes of the disjoint union (:func:`_node_round`), the tuple
+    methods over each graph's tuples (:func:`_sort_round`), after checking
+    the node cap (default ``KWL_NODE_CAPS[k]``) and
+    :data:`MAX_TUPLE_ENTITIES` on every graph before allocating anything.
+    The interning steps stay only as the tests' reference.
     """
     if method in ("1wl", "nc1wl"):
         g = graphs[0] if len(graphs) == 1 else disjoint_union(*graphs)[0]
-        universe = _NodeUniverse(g, with_neighbor_edges=(method == "nc1wl"))
-        return partial(_intern_round, [universe]), graphs[0].node_count
+        classes = _width_classes(g, with_neighbor_edges=(method == "nc1wl"))
+        return partial(_node_round, classes, g.labels), graphs[0].node_count
     if method not in ("2wl", "3wl"):
         raise ValueError(f"unknown method {method!r}")
     k = int(method[0])
@@ -415,14 +603,16 @@ def refine_kwl(g: Graph, k: int, node_cap: int | None = None) -> list[Coloring]:
 def compare(g1: Graph, g2: Graph, method: str, node_cap: int | None = None) -> RefinementReport:
     """Joint refinement of two graphs with the verdict of the first histogram gap.
 
-    The node methods run on the disjoint union (one shared interner by
-    construction); the tuple methods relabel both graphs' tuples in the same
-    sorts. Histograms are compared before every refinement round, so
-    graphs with different node counts are distinguished at iteration 0.
+    The node methods run on the disjoint union (one shared sort per width
+    class by construction); the tuple methods relabel both graphs' tuples
+    in the same sorts. Histograms are compared before every refinement
+    round, so graphs with different node counts are distinguished at
+    iteration 0.
     """
     step, split = _universes(method, [g1, g2], node_cap)
     hists = []
     for it, colors in enumerate(_rounds(step)):
+        colors = np.asarray(colors, dtype=np.int64)
         pair = (_histogram(colors[:split]), _histogram(colors[split:]))
         hists.append(pair)
         if pair[0] != pair[1]:

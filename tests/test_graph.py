@@ -32,7 +32,7 @@ from ncwl import (
     stats,
     wheel_graph,
 )
-from ncwl.graph import MAX_NODE_COUNT
+from ncwl.graph import MAX_NODE_COUNT, adjacency_arrays, neighbor_edge_arrays
 from ncwl.harness import seeded_rng
 
 from conftest import graphs
@@ -214,6 +214,20 @@ class TestNeighborEdges:
             expected = sorted(brute_force_neighbor_edges(g, v))
             assert list(lists[v]) == expected
             assert [e.endpoints for e in neighbor_edges(g, v)] == expected
+
+
+@given(graphs(max_nodes=12))
+def test_array_views_flatten_the_adjacency_and_the_index(g):
+    degrees, neighbors = adjacency_arrays(g)
+    counts, u1s, u2s = neighbor_edge_arrays(g)
+    assert degrees.tolist() == [len(nb) for nb in g.adjacency]
+    assert neighbors.tolist() == [u for nb in g.adjacency for u in nb]
+    lists = neighbor_edge_lists(g)
+    assert counts.tolist() == [len(pairs) for pairs in lists]
+    assert list(zip(u1s.tolist(), u2s.tolist())) == [pair for pairs in lists for pair in pairs]
+    views = (degrees, neighbors, counts, u1s, u2s)
+    assert not any(a.flags.writeable for a in views)
+    assert adjacency_arrays(g)[1] is neighbors and neighbor_edge_arrays(g)[1] is u1s
 
 
 def test_neighbor_edge_index_is_built_once_per_graph(monkeypatch):

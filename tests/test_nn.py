@@ -121,12 +121,12 @@ class TestForward:
             nc_gnn_layer_forward(complete_graph(3), np.eye(2), identity_layer(2))
 
     def test_gin_forwards_build_no_neighbor_edge_index(self, monkeypatch):
-        import ncwl.nn
+        import ncwl.graph
 
         def refuse(g):
             raise AssertionError("neighbor-edge index built on the plain path")
 
-        monkeypatch.setattr(ncwl.nn, "neighbor_edge_lists", refuse)
+        monkeypatch.setattr(ncwl.graph, "_list_neighbor_edges", refuse)
         g = complete_graph(3)
         H = np.eye(3)
         assert np.array_equal(gin_layer_forward(g, H, identity_mlp(3), 0.0), np.ones((3, 3)))

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
+from collections import Counter
 from functools import partial
 
 import pytest
@@ -16,6 +18,7 @@ from ncwl import (
     cycle_graph,
     disjoint_union,
     load_corpus,
+    neighbor_edge_lists,
     path_graph,
     permute_graph,
     random_gnp,
@@ -24,8 +27,20 @@ from ncwl import (
     refine_kwl,
     refine_nc1wl,
     star_graph,
+    wheel_graph,
 )
-from ncwl.refine import _intern_round, _rounds, _sort_round, _TupleUniverse, _universes
+from ncwl.graph import neighbor_edge_arrays
+from ncwl.refine import (
+    _histogram,
+    _intern_round,
+    _node_round,
+    _NodeUniverse,
+    _rounds,
+    _sort_round,
+    _TupleUniverse,
+    _universes,
+    _width_classes,
+)
 
 from conftest import graphs, permutations_of
 
@@ -309,6 +324,131 @@ class TestSortedTupleEngine:
         for pair in ([complete_graph(3), complete_graph(4)], [path_graph(3), star_graph(3)]):
             rounds = assert_sorting_matches_interning(pair, k)
             assert len(rounds) > 2
+
+
+def assert_node_sorting_matches_interning(graph_list, method):
+    """Every round of the dispatched node engine equals the interning reference."""
+    step, _ = _universes(method, graph_list, None)
+    assert step.func is _node_round
+    g = graph_list[0] if len(graph_list) == 1 else disjoint_union(*graph_list)[0]
+    reference = partial(_intern_round, [_NodeUniverse(g, method == "nc1wl")])
+    rounds = list(_rounds(step))
+    assert rounds == list(_rounds(reference))
+    assert all(type(c) is int for colors in rounds for c in colors)
+    return rounds
+
+
+NODE_METHODS = ("1wl", "nc1wl")
+
+
+class TestSortedNodeEngine:
+    """The sorting 1wl/nc1wl engine against the interning reference, round by round."""
+
+    @pytest.mark.parametrize("method", NODE_METHODS)
+    def test_corpus(self, method):
+        for entry in load_corpus():
+            pair = list(entry.graphs())
+            for g in pair:
+                assert_node_sorting_matches_interning([g], method)
+            assert_node_sorting_matches_interning(pair, method)
+
+    @given(
+        graphs(max_nodes=12, max_labels=3),
+        graphs(max_nodes=12, max_labels=3),
+        st.sampled_from(NODE_METHODS),
+        st.data(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_hypothesis_graphs_with_permuted_and_random_partners(self, g, other, method, data):
+        h = permute_graph(g, data.draw(permutations_of(g.node_count)))
+        assert_node_sorting_matches_interning([g], method)
+        assert_node_sorting_matches_interning([g, h], method)
+        assert_node_sorting_matches_interning([g, other], method)
+
+    @pytest.mark.parametrize("method", NODE_METHODS)
+    def test_zero_one_and_isolated_nodes(self, method):
+        empty, single = Graph.build(0, []), Graph.build(1, [], [5])
+        isolated = Graph.build(7, [(1, 2), (2, 3), (1, 3)], [0, 1, 0, 0, 1, 1, 0])
+        for graph_list in (
+            [empty],
+            [single],
+            [isolated],
+            [empty, empty],
+            [empty, single],
+            [single, isolated],
+            [isolated, empty],
+        ):
+            assert_node_sorting_matches_interning(graph_list, method)
+        assert refine(empty, method)[0].colors == ()
+        assert compare(single, single, method).iterations_run == 1
+
+    @pytest.mark.parametrize("method", NODE_METHODS)
+    def test_labels_beyond_int64(self, method):
+        huge = complete_graph(4, [2**63, 10**30, 2**63, 2**64 + 1])
+        small = complete_graph(4, [1, 2, 1, 3])
+        assert_node_sorting_matches_interning([huge], method)
+        assert_node_sorting_matches_interning([huge, small], method)
+        assert [c.colors for c in refine(huge, method)] == [
+            c.colors for c in refine(small, method)
+        ]
+
+    @pytest.mark.parametrize("method", NODE_METHODS)
+    def test_joint_run_of_different_sizes_past_round_zero(self, method):
+        # compare stops at round 0 for such pairs, so the generator is driven directly
+        for pair in ([complete_graph(3), complete_graph(4)], [path_graph(3), star_graph(5)]):
+            rounds = assert_node_sorting_matches_interning(pair, method)
+            assert len(rounds) > 2
+
+    @pytest.mark.parametrize("method", NODE_METHODS)
+    def test_stars_and_wheels_need_more_than_one_width_class(self, method):
+        star, wheel = star_graph(300), wheel_graph(300)
+        labeled = star_graph(200, [v % 3 for v in range(201)])
+        path = path_graph(5, [0, 1, 2, 1, 0])
+        for g in (star, wheel, labeled, disjoint_union(path, wheel)[0]):
+            assert len(_width_classes(g, method == "nc1wl")) > 1
+        for graph_list in (
+            [star],
+            [wheel],
+            [labeled],
+            [star, wheel],
+            [labeled, star],
+            [path, wheel],
+            [wheel, path],
+        ):
+            assert_node_sorting_matches_interning(graph_list, method)
+
+    def test_padding_stays_within_a_constant_factor_of_the_entries(self):
+        for g in (star_graph(300), wheel_graph(300), complete_graph(9), path_graph(40)):
+            counts = neighbor_edge_arrays(g)[0]
+            entries = 2 * g.edge_count + int(counts.sum()) + g.node_count
+            classes = _width_classes(g, with_neighbor_edges=True)
+            # an index row has two slots per neighbor-edge slot, so it is at
+            # most twice the padded area plus the node's own slot
+            padded = sum(cls.index.size for cls in classes)
+            assert padded <= 4 * entries + 128 * len(classes) + g.node_count
+
+    def test_star_memory_is_linear_in_its_entries(self):
+        # a star padded to its widest row would need 200_001 x 200_000 slots
+        star = star_graph(200_000)
+        entries = 2 * star.edge_count + star.node_count
+        neighbor_edge_lists(star)
+        tracemalloc.start()
+        try:
+            seq = refine(star, "nc1wl")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [c.num_classes for c in seq] == [1, 2, 2]
+        assert peak < 256 * entries
+
+
+def test_histogram_counts_dense_colors_like_a_counter():
+    rng = random.Random("histogram")
+    for n in (0, 1, 5, 300):
+        colors = [rng.randrange(max(1, n // 3)) for _ in range(n)]
+        hist = _histogram(colors)
+        assert hist == tuple(sorted(Counter(colors).items()))
+        assert all(type(x) is int for pair in hist for x in pair)
 
 
 class TestVf2Oracle:
