@@ -29,7 +29,9 @@ The ids equal those a fresh interner gives the canonical signature tuples
 (multisets sorted, pairs as (min, max)), bit for bit. That interning path
 is kept as the reference the tests compare against:
 :class:`_NodeUniverse` and :class:`_TupleUniverse` under
-:func:`_intern_round`.
+:func:`_intern_round`. The node methods also intern on graphs below
+:data:`_SORT_MIN_NODES` nodes, where the sort engine's fixed numpy cost
+outweighs its gain.
 
 Pairwise comparison interleaves the two graphs in one joint run (the node
 methods on their disjoint union, the tuple methods in the same sorts),
@@ -108,8 +110,15 @@ class Coloring:
 
     @classmethod
     def from_colors(cls, colors: Sequence[int]) -> "Coloring":
+        """The coloring of dense ids: every color in 0..len(colors)-1.
+
+        Raises ValueError for any other color, before counting.
+        """
+        colors = tuple(colors)
+        if colors and not 0 <= min(colors) <= max(colors) < len(colors):
+            raise ValueError(f"colors must be dense ids in 0..{len(colors) - 1}")
         hist = _histogram(colors)
-        return cls(tuple(colors), len(hist), hist)
+        return cls(colors, len(hist), hist)
 
 
 def _histogram(colors: Sequence[int]) -> Histogram:
@@ -147,8 +156,9 @@ class RefinementReport:
 class _NodeUniverse:
     """Entities are the nodes of one graph; supports 1wl and nc1wl signatures.
 
-    Interns each node's signature; kept as the reference that the sorting
-    engine (:func:`_node_round`) is tested against.
+    Interns each node's signature; the node engine below
+    :data:`_SORT_MIN_NODES` nodes and the reference that the sorting engine
+    (:func:`_node_round`) is tested against.
     """
 
     def __init__(self, g: Graph, with_neighbor_edges: bool):
@@ -256,36 +266,21 @@ def _intern_round(universes, colors: list[int] | None) -> list[int]:
     return new
 
 
-#: Widest rows :func:`_dense_ids` sorts by ``np.lexsort``, one stable pass
-#: per column. Wider rows are sorted once as opaque byte strings. On the
-#: benchmark's rows, 2 vCPUs: 3wl rows of 35152 x 4 took 13 ms by lexsort
-#: and 17 ms by bytes over 3 rounds, 1wl mesh rows of 2500 x 7 tied (8 ms
-#: over 26 rounds), nc1wl mesh rows of 2500 x 13 took 11 ms and 7 ms, and
-#: 3wl fibers of 4056 x 26 took 3.7 ms and 2.0 ms.
-_LEXSORT_MAX_WIDTH = 6
+def _dense_ids(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ids of the columns of the int64 ``keys`` (one row per key component).
 
-
-def _dense_ids(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ids of the int64 ``rows`` and the row where each id first occurs.
-
-    Equal rows get equal ids and distinct rows distinct ids, numbered 0, 1,
-    ... in the order of their first occurrence: the ids a fresh interner
-    gives when fed the rows in order. ``firsts[i]`` is the row where id i
-    first occurs.
+    Equal columns get equal ids and distinct columns distinct ids, numbered
+    0, 1, ... in the order of their first occurrence: the ids a fresh
+    interner gives when fed the columns in order. Also returns the column
+    where each id first occurs.
     """
-    m, width = rows.shape
-    if width <= _LEXSORT_MAX_WIDTH:
-        order = np.lexsort(rows.T)
-    else:
-        # any total order groups equal rows; byte order needs one sort
-        rows = np.ascontiguousarray(rows)
-        as_bytes = rows.view(np.dtype((np.void, width * rows.itemsize))).ravel()
-        order = as_bytes.argsort(kind="stable")
-    ranked = rows[order]
+    m = keys.shape[1]
+    order = np.lexsort(keys)
+    ranked = keys[:, order]
     starts = np.empty(m, dtype=bool)
     starts[:1] = True
-    (ranked[1:] != ranked[:-1]).any(axis=1, out=starts[1:])
-    # the sorts are stable, so each group's first sorted row is its first occurrence
+    (ranked[:, 1:] != ranked[:, :-1]).any(axis=0, out=starts[1:])
+    # lexsort is stable, so each group's first sorted column is its first occurrence
     first = order[starts]
     by_first = first.argsort()
     rank = np.empty(len(first), dtype=np.int64)
@@ -372,18 +367,18 @@ def _class_members(degrees: np.ndarray, counts: np.ndarray) -> list[np.ndarray]:
 
 
 def _padded(widths: np.ndarray, nodes: np.ndarray, sentinel: int, *flat: np.ndarray) -> list:
-    """The rows of ``nodes`` in each CSR array of ``flat``, one matrix per array.
+    """The rows of the ascending ``nodes`` in each CSR array of ``flat``.
 
     Row v of a CSR array holds ``widths[v]`` entries; shorter rows are
-    padded with ``sentinel`` to the widest row of ``nodes``.
+    padded with ``sentinel`` to the widest row of ``nodes``. One matrix per
+    array.
     """
     w = widths[nodes]
     mask = np.arange(w.max()) < w[:, None]
-    if len(nodes) == len(widths):
-        src = slice(None)  # ascending distinct nodes: all of them, in order
-    else:
-        starts = np.cumsum(widths) - widths
-        src = np.repeat(starts[nodes] - (np.cumsum(w) - w), w) + np.arange(int(w.sum()))
+    member = np.zeros(len(widths), dtype=bool)
+    member[nodes] = True
+    # the entries of the members, in node order: the row-major order of mask
+    src = np.repeat(member, widths)
     out = []
     for values in flat:
         rows = np.full(mask.shape, sentinel, dtype=np.intp)
@@ -424,9 +419,7 @@ def _node_round(
             rows[:, p : 2 * p] = codes
         rows[:, 2 * p : -1].sort(axis=1)
         # keys: sorted pair codes, sorted neighbor colors, own color
-        parts.append(_dense_ids(rows[:, p:]))
-    if len(parts) == 1:
-        return parts[0][0].tolist()
+        parts.append(_dense_ids(rows[:, p:].T))
     firsts = np.concatenate([cls.nodes[first] for cls, (_, first) in zip(classes, parts)])
     rank = np.empty(len(firsts), dtype=np.int64)
     rank[np.argsort(firsts)] = np.arange(len(firsts))
@@ -452,7 +445,7 @@ def _sort_round(graphs: Sequence[Graph], k: int, colors: list[int] | None) -> li
     :class:`_TupleUniverse` per graph.
     """
     if colors is None:
-        return _dense_ids(_atomic_type_keys(graphs, k).T)[0].tolist()
+        return _dense_ids(_atomic_type_keys(graphs, k))[0].tolist()
     colors = np.asarray(colors, dtype=np.int64)
     width = max(g.node_count for g in graphs)
     cubes, fibers = [], []
@@ -471,7 +464,7 @@ def _sort_round(graphs: Sequence[Graph], k: int, colors: list[int] | None) -> li
             fibers.append(fiber)
     if not cubes:
         return []
-    fiber_ids = _dense_ids(np.concatenate(fibers))[0]
+    fiber_ids = _dense_ids(np.concatenate(fibers).T)[0]
     rows, start = [], 0
     for cube in cubes:
         n = cube.shape[0]
@@ -483,7 +476,7 @@ def _sort_round(graphs: Sequence[Graph], k: int, colors: list[int] | None) -> li
             row[1 + i] = fiber_ids[start : start + n ** (k - 1)].reshape(shape)
             start += n ** (k - 1)
         rows.append(row.reshape(k + 1, -1))
-    return _dense_ids(np.concatenate(rows, axis=1).T)[0].tolist()
+    return _dense_ids(np.concatenate(rows, axis=1))[0].tolist()
 
 
 def _atomic_type_keys(graphs: Sequence[Graph], k: int) -> np.ndarray:
@@ -535,6 +528,15 @@ def _rounds(step: Callable[[list[int] | None], list[int]]) -> Iterator[list[int]
         raise AssertionError("refinement failed to stabilize within the entity bound")
 
 
+#: Smallest graph (the union in ``compare``) whose node methods relabel by
+#: sorting; smaller ones intern. The sort engine's fixed numpy cost per run
+#: outweighs interning on tiny graphs. CPU time per joint run of two G(n, p),
+#: interning vs sorting, 2 vCPUs: unions of 10 nodes 27-69 vs 97-191 us, 20
+#: nodes 97-215 vs 206-272 us, 40 nodes 231-814 vs 242-403 us, 80 nodes
+#: 390-7866 vs 320-2084 us, over p in {0.15, 0.5} and both methods.
+_SORT_MIN_NODES = 32
+
+
 def _universes(method: str, graphs: Sequence[Graph], node_cap: int | None):
     """The round step of one joint run over ``graphs`` by ``method``.
 
@@ -544,12 +546,18 @@ def _universes(method: str, graphs: Sequence[Graph], node_cap: int | None):
     methods over each graph's tuples (:func:`_sort_round`), after checking
     the node cap (default ``KWL_NODE_CAPS[k]``) and
     :data:`MAX_TUPLE_ENTITIES` on every graph before allocating anything.
-    The interning steps stay only as the tests' reference.
+    Node-method runs on fewer than :data:`_SORT_MIN_NODES` nodes intern
+    instead, which is faster there; otherwise the interning steps serve only
+    as the tests' reference.
     """
     if method in ("1wl", "nc1wl"):
         g = graphs[0] if len(graphs) == 1 else disjoint_union(*graphs)[0]
-        classes = _width_classes(g, with_neighbor_edges=(method == "nc1wl"))
-        return partial(_node_round, classes, g.labels), graphs[0].node_count
+        with_neighbor_edges = method == "nc1wl"
+        if g.node_count < _SORT_MIN_NODES:
+            step = partial(_intern_round, [_NodeUniverse(g, with_neighbor_edges)])
+        else:
+            step = partial(_node_round, _width_classes(g, with_neighbor_edges), g.labels)
+        return step, graphs[0].node_count
     if method not in ("2wl", "3wl"):
         raise ValueError(f"unknown method {method!r}")
     k = int(method[0])

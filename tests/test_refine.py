@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from ncwl import (
     METHODS,
+    Coloring,
     Graph,
     brute_force_isomorphic,
     complete_graph,
@@ -31,6 +32,7 @@ from ncwl import (
 )
 from ncwl.graph import neighbor_edge_arrays
 from ncwl.refine import (
+    _SORT_MIN_NODES,
     _histogram,
     _intern_round,
     _node_round,
@@ -327,11 +329,11 @@ class TestSortedTupleEngine:
 
 
 def assert_node_sorting_matches_interning(graph_list, method):
-    """Every round of the dispatched node engine equals the interning reference."""
-    step, _ = _universes(method, graph_list, None)
-    assert step.func is _node_round
+    """Every round of the sorting node engine equals the interning reference."""
     g = graph_list[0] if len(graph_list) == 1 else disjoint_union(*graph_list)[0]
-    reference = partial(_intern_round, [_NodeUniverse(g, method == "nc1wl")])
+    with_neighbor_edges = method == "nc1wl"
+    step = partial(_node_round, _width_classes(g, with_neighbor_edges), g.labels)
+    reference = partial(_intern_round, [_NodeUniverse(g, with_neighbor_edges)])
     rounds = list(_rounds(step))
     assert rounds == list(_rounds(reference))
     assert all(type(c) is int for colors in rounds for c in colors)
@@ -343,6 +345,16 @@ NODE_METHODS = ("1wl", "nc1wl")
 
 class TestSortedNodeEngine:
     """The sorting 1wl/nc1wl engine against the interning reference, round by round."""
+
+    @pytest.mark.parametrize("method", NODE_METHODS)
+    def test_dispatch_sorts_from_the_size_threshold_on(self, method):
+        below, at = path_graph(_SORT_MIN_NODES - 1), path_graph(_SORT_MIN_NODES)
+        assert _universes(method, [below], None)[0].func is _intern_round
+        assert _universes(method, [at], None)[0].func is _node_round
+        # a joint run is judged by its union
+        half = path_graph(_SORT_MIN_NODES // 2)
+        assert _universes(method, [half, half], None)[0].func is _node_round
+        assert _universes(method, [half, path_graph(1)], None)[0].func is _intern_round
 
     @pytest.mark.parametrize("method", NODE_METHODS)
     def test_corpus(self, method):
@@ -449,6 +461,19 @@ def test_histogram_counts_dense_colors_like_a_counter():
         hist = _histogram(colors)
         assert hist == tuple(sorted(Counter(colors).items()))
         assert all(type(x) is int for pair in hist for x in pair)
+
+
+@pytest.mark.parametrize("colors", [[-1], [0, 2], [10**9], [2**63], [0, 1, 5]])
+def test_from_colors_rejects_colors_that_are_not_dense_ids(colors):
+    # bincount would allocate one slot per value up to the largest color
+    with pytest.raises(ValueError, match="dense ids"):
+        Coloring.from_colors(colors)
+
+
+def test_from_colors_keeps_dense_ids():
+    c = Coloring.from_colors([2, 0, 2, 1])
+    assert c == Coloring((2, 0, 2, 1), 3, ((0, 1), (1, 1), (2, 2)))
+    assert Coloring.from_colors([]) == Coloring((), 0, ())
 
 
 class TestVf2Oracle:
