@@ -26,12 +26,13 @@ across rounds cannot merge classes.
   color and fiber id per position the same way.
 
 The ids equal those a fresh interner gives the canonical signature tuples
-(multisets sorted, pairs as (min, max)), bit for bit. That interning path
-is kept as the reference the tests compare against:
-:class:`_NodeUniverse` and :class:`_TupleUniverse` under
-:func:`_intern_round`. The node methods also intern on graphs below
-:data:`_SORT_MIN_NODES` nodes, where the sort engine's fixed numpy cost
-outweighs its gain.
+(multisets sorted, pairs as (min, max)), bit for bit. The node methods
+still intern on graphs below :data:`_SORT_MIN_NODES` nodes, where the sort
+engine's fixed numpy cost outweighs its gain: :class:`_NodeUniverse` under
+:func:`_intern_round`, which is also the reference the tests hold the node
+sort engine to. The tuple methods always sort; their interning reference,
+a tuple universe under the same :func:`_intern_round`, lives with the
+tests.
 
 Pairwise comparison interleaves the two graphs in one joint run (the node
 methods on their disjoint union, the tuple methods in the same sorts),
@@ -43,7 +44,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import product
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -188,65 +188,6 @@ class _NodeUniverse:
                 out.append((colors[v], neigh, tuple(pc)))
             else:
                 out.append((colors[v], neigh, ()))
-        return out
-
-
-class _TupleUniverse:
-    """Entities are all node_count**k ordered tuples in row-major order.
-
-    Interns each tuple's signature; kept as the reference that the sorting
-    engine (:func:`_sort_round`) is tested against.
-    """
-
-    def __init__(self, g: Graph, k: int):
-        self.graph = g
-        self.k = k
-        n = g.node_count
-        self.size = n**k
-        self._tuples = list(product(range(n), repeat=k))
-        self._strides = [n ** (k - 1 - i) for i in range(k)]
-
-    def initial_signatures(self) -> list:
-        """Atomic types: position labels, pairwise adjacency, equality pattern.
-
-        Tuples with repeated nodes must not be conflated with adjacent pairs,
-        hence the three-way code per position pair.
-        """
-        g = self.graph
-        labels = g.labels
-        eset = g.edge_set
-        k = self.k
-        sigs = []
-        for tup in self._tuples:
-            lab = tuple(labels[v] for v in tup)
-            pat = []
-            for i in range(k):
-                vi = tup[i]
-                for j in range(i + 1, k):
-                    vj = tup[j]
-                    if vi == vj:
-                        pat.append(2)
-                    elif ((vi, vj) if vi < vj else (vj, vi)) in eset:
-                        pat.append(1)
-                    else:
-                        pat.append(0)
-            sigs.append((lab, tuple(pat)))
-        return sigs
-
-    def iteration_signatures(self, colors: Sequence[int]) -> list:
-        n = self.graph.node_count
-        k = self.k
-        strides = self._strides
-        if not isinstance(colors, list):
-            colors = list(colors)
-        out = []
-        for idx, tup in enumerate(self._tuples):
-            sig = [colors[idx]]
-            for i in range(k):
-                st = strides[i]
-                base = idx - tup[i] * st
-                sig.append(tuple(sorted(colors[base : base + n * st : st])))
-            out.append(tuple(sig))
         return out
 
 
@@ -442,7 +383,7 @@ def _sort_round(graphs: Sequence[Graph], k: int, colors: list[int] | None) -> li
 
     Entities are each graph's node_count**k tuples in row-major order,
     graphs concatenated; the ids equal :func:`_intern_round`'s over one
-    :class:`_TupleUniverse` per graph.
+    interning tuple universe (kept with the tests) per graph.
     """
     if colors is None:
         return _dense_ids(_atomic_type_keys(graphs, k))[0].tolist()

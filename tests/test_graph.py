@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -9,14 +13,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ncwl.graph
 from ncwl import (
     Graph,
     GraphFormatError,
     complete_graph,
+    compare,
     cycle_graph,
     disjoint_union,
     embed_graph,
     empty_graph,
+    load_corpus,
     nc_gnn_layer_backward,
     neighbor_edge_lists,
     neighbor_edges,
@@ -24,6 +31,7 @@ from ncwl import (
     parse_edge_list,
     path_graph,
     permute_graph,
+    random_gnm,
     random_gnp,
     refine_nc1wl,
     serialize_edge_list,
@@ -32,10 +40,18 @@ from ncwl import (
     stats,
     wheel_graph,
 )
-from ncwl.graph import MAX_NODE_COUNT, adjacency_arrays, neighbor_edge_arrays
+from ncwl.cli import main as cli_main
+from ncwl.graph import (
+    _FORWARD_MIN_NODES,
+    MAX_NODE_COUNT,
+    _compact_forward,
+    adjacency_arrays,
+    neighbor_edge_arrays,
+)
 from ncwl.harness import seeded_rng
 
 from conftest import graphs
+from reference import merge_neighbor_edges
 
 
 def brute_force_neighbor_edges(g: Graph, v: int) -> list[tuple[int, int]]:
@@ -252,6 +268,115 @@ def test_neighbor_edge_index_is_built_once_per_graph(monkeypatch):
     assert twin == g and hash(twin) == hash(g)
     assert stats(twin) == stats(g)
     assert len(builds) == 2
+
+
+def assert_lister_matches_reference(g: Graph):
+    """Both lister paths and the tuple view equal the merge reference on ``g``."""
+    expected = merge_neighbor_edges(g)
+    for counts, u1s, u2s in (neighbor_edge_arrays(g), _compact_forward(g)):
+        assert all(a.dtype == np.intp for a in (counts, u1s, u2s))
+        assert counts.tolist() == [len(pairs) for pairs in expected]
+        assert list(zip(u1s.tolist(), u2s.tolist())) == [p for pairs in expected for p in pairs]
+    lists = neighbor_edge_lists(g)
+    assert lists == tuple(map(tuple, expected))
+    assert neighbor_edge_lists(g) is lists
+
+
+class TestNeighborEdgeLister:
+    """The compact-forward lister and its small-graph merge path against the reference."""
+
+    def test_corpus(self):
+        for entry in load_corpus():
+            for g in entry.graphs():
+                assert_lister_matches_reference(g)
+            assert_lister_matches_reference(disjoint_union(*entry.graphs())[0])
+
+    @given(graphs(max_nodes=_FORWARD_MIN_NODES + 8))
+    @settings(max_examples=150, deadline=None)
+    def test_hypothesis_graphs(self, g):
+        assert_lister_matches_reference(g)
+
+    def test_empty_and_edgeless(self):
+        for n in (0, 1, 2, _FORWARD_MIN_NODES - 1, _FORWARD_MIN_NODES, 300):
+            assert_lister_matches_reference(empty_graph(n))
+
+    def test_stars_wheels_and_complete_graphs_on_both_sides_of_the_size_rule(self):
+        sizes = (3, 4, _FORWARD_MIN_NODES - 2, _FORWARD_MIN_NODES - 1, _FORWARD_MIN_NODES, 60)
+        for n in sizes:
+            for g in (star_graph(n), wheel_graph(n), complete_graph(n)):
+                assert_lister_matches_reference(g)
+
+    def test_random_graphs_past_one_wedge_block(self):
+        rng = random.Random("lister")
+        for g in (random_gnm(rng, 300, 4000), random_gnp(rng, 120, 0.5)):
+            assert_lister_matches_reference(g)
+
+    @pytest.mark.parametrize("block", [1, 2, 7])
+    def test_tiny_wedge_blocks(self, monkeypatch, block):
+        monkeypatch.setattr(ncwl.graph, "_WEDGE_BLOCK", block)
+        rng = random.Random(block)
+        for _ in range(20):
+            n = rng.randrange(_FORWARD_MIN_NODES, 2 * _FORWARD_MIN_NODES)
+            assert_lister_matches_reference(random_gnp(rng, n, rng.random()))
+
+    def test_dispatch_uses_compact_forward_from_the_size_rule_on(self, monkeypatch):
+        calls = []
+
+        def recording(g):
+            calls.append(g.node_count)
+            return _compact_forward(g)
+
+        monkeypatch.setattr(ncwl.graph, "_compact_forward", recording)
+        for n in (_FORWARD_MIN_NODES - 1, _FORWARD_MIN_NODES):
+            neighbor_edge_arrays(complete_graph(n))
+        assert calls == [_FORWARD_MIN_NODES]
+
+    def test_hub_of_a_large_wheel_is_not_quadratic(self):
+        # the merge lister took 2.7 s on wheel_graph(8000) and did not
+        # finish on this one within minutes; compact-forward takes 0.06 s
+        wheel = wheel_graph(100_000)
+        start = time.perf_counter()
+        seq = refine_nc1wl(wheel)
+        assert time.perf_counter() - start < 20
+        assert [c.num_classes for c in seq] == [1, 2, 2]
+        counts = neighbor_edge_arrays(wheel)[0]
+        assert counts[0] == 100_000 and (counts[1:] == 2).all()
+
+    def test_peak_memory_stays_bounded_by_the_wedge_blocks(self):
+        # the output is about 8 MB; the blocked lister peaks near 27 MB, an
+        # unblocked one (all 3.1M wedges at once) near 121 MB
+        g = random_gnm(random.Random("lister-memory"), 2000, 100_000)
+        adjacency_arrays(g)
+        tracemalloc.start()
+        try:
+            counts, _, _ = ncwl.graph._list_neighbor_edges(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert int(counts.sum()) % 3 == 0
+        assert peak < 64 * 2**20
+
+
+def test_no_tuple_view_is_built_on_graphs_the_engines_sort(monkeypatch, tmp_path):
+    def refuse(g):
+        raise AssertionError("tuple view of the neighbor-edge index built")
+
+    monkeypatch.setattr(Graph, "_neighbor_edge_lists", property(refuse))
+    rng = random.Random("no-view")
+    g = random_gnp(rng, 40, 0.3)
+    twin = permute_graph(g, rng.sample(range(40), 40))
+    assert stats(g).triangle_count == brute_force_triangles(g)
+    assert refine_nc1wl(g)[-1].num_classes >= 1
+    assert not compare(g, twin, "nc1wl").distinguished
+    embed_graph(g, stack_layers(seeded_rng(0, "no-view"), 1, 4, 2), 1)
+    first, second = tmp_path / "g.txt", tmp_path / "twin.txt"
+    first.write_text(serialize_edge_list(g))
+    second.write_text(serialize_edge_list(twin))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli_main(["stats", str(first)]) == 0
+        assert cli_main(["refine", str(first), "--method", "nc1wl"]) == 0
+        assert cli_main(["compare", str(first), str(second), "--method", "nc1wl"]) == 0
+        assert cli_main(["gnn-embed", str(first), "--layers", "2", "--dim", "4"]) == 0
 
 
 class TestStats:

@@ -39,12 +39,12 @@ from ncwl.refine import (
     _NodeUniverse,
     _rounds,
     _sort_round,
-    _TupleUniverse,
     _universes,
     _width_classes,
 )
 
 from conftest import graphs, permutations_of
+from reference import TupleUniverse
 
 
 def classes_of(coloring):
@@ -269,7 +269,7 @@ def assert_sorting_matches_interning(graph_list, k):
     """Every round of the dispatched k-tuple engine equals the interning reference."""
     step, _ = _universes(f"{k}wl", graph_list, None)
     assert step.func is _sort_round
-    reference = partial(_intern_round, [_TupleUniverse(g, k) for g in graph_list])
+    reference = partial(_intern_round, [TupleUniverse(g, k) for g in graph_list])
     rounds = list(_rounds(step))
     assert rounds == list(_rounds(reference))
     assert all(type(c) is int for colors in rounds for c in colors)
