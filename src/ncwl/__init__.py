@@ -15,6 +15,7 @@ from .codec import (
     encode_centered,
     encode_multiset,
     encode_pairwise,
+    injectivity_sweep,
 )
 from .corpus import CorpusEntry, CorpusError, load_corpus
 from .graph import (

@@ -25,7 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Iterable
+from itertools import combinations_with_replacement
+from typing import Hashable, Iterable, Sequence
 
 ExactRational = Fraction
 
@@ -190,3 +191,38 @@ def encode_centered(
     """
     f1c = ctx.f1(center)
     return EpsilonValue(rational=f1c + encode_pairwise(ctx, elements, pairs), epsilon_coeff=f1c)
+
+
+def injectivity_sweep(
+    ctx: CodecContext, symbols: Sequence[Hashable], max_cardinality: int
+) -> tuple[int, int]:
+    """Encode every (X, W) and (c, X, W) over ``symbols`` under ``ctx``, seeded with them.
+
+    X and W are multisets of symbols and of symbol pairs, each of at most
+    ``max_cardinality`` elements (so ``ctx.base`` must exceed twice that).
+    Returns the counts of pairwise and centered encodings, all distinct, or
+    raises CodecError at the first pairwise collision or on a centered one.
+    """
+    ctx.seed_elements(symbols)
+    pair_universe = list(combinations_with_replacement(symbols, 2))
+    multisets, pair_multisets = (
+        [
+            list(c)
+            for size in range(max_cardinality + 1)
+            for c in combinations_with_replacement(universe, size)
+        ]
+        for universe in (symbols, pair_universe)
+    )
+    pairwise = {}
+    for xs in multisets:
+        for ws in pair_multisets:
+            encoded = encode_pairwise(ctx, xs, ws)
+            if encoded in pairwise:
+                raise CodecError(f"pairwise collision {pairwise[encoded]} vs {(xs, ws)}")
+            pairwise[encoded] = (xs, ws)
+    centered = {
+        encode_centered(ctx, c, xs, ws) for c in symbols for xs in multisets for ws in pair_multisets
+    }
+    if len(centered) != len(symbols) * len(pairwise):
+        raise CodecError("centered encodings collided")
+    return len(pairwise), len(centered)

@@ -343,16 +343,27 @@ _WEDGE_BLOCK = 2**16
 def _list_neighbor_edges(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The one triangle lister: the arrays behind :func:`neighbor_edge_arrays`.
 
-    Graphs of at least :data:`_FORWARD_MIN_NODES` nodes go through
-    :func:`_compact_forward`. Smaller ones take an edge-centric pass over
-    the sorted adjacency: an edge (u1, u2) belongs to node w's list iff w is
-    a common neighbor of u1 and u2, and merge-intersecting the two sorted
-    adjacency lists finds every such w. Iterating edges in sorted order
-    leaves every per-node list ascending in (u1, u2). The merge is
-    quadratic in the largest degree, which a graph this small bounds.
+    Graphs below :data:`_FORWARD_MIN_NODES` nodes use the merge lister,
+    the one the tests hold :func:`_compact_forward` to.
     """
     if g.node_count >= _FORWARD_MIN_NODES:
         return _compact_forward(g)
+    out = _merge_neighbor_edges(g)
+    counts = np.fromiter(map(len, out), dtype=np.intp, count=g.node_count)
+    total = int(counts.sum())
+    flat = np.fromiter(
+        chain.from_iterable(chain.from_iterable(out)), dtype=np.intp, count=2 * total
+    ).reshape(total, 2)
+    return counts, flat[:, 0], flat[:, 1]
+
+
+def _merge_neighbor_edges(g: Graph) -> list[list[tuple[int, int]]]:
+    """For every node w, the edges (u1, u2) inside N(w), ascending.
+
+    An edge (u1, u2) belongs to the list of every common neighbor of u1 and
+    u2, which merging their sorted adjacency lists finds; taking edges in
+    sorted order keeps every list ascending. Quadratic in the largest degree.
+    """
     adj = g.adjacency
     out: list[list[tuple[int, int]]] = [[] for _ in range(g.node_count)]
     for u1, u2 in g.edges():
@@ -370,12 +381,7 @@ def _list_neighbor_edges(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                 i += 1
             else:
                 j += 1
-    counts = np.fromiter(map(len, out), dtype=np.intp, count=g.node_count)
-    total = int(counts.sum())
-    flat = np.fromiter(
-        chain.from_iterable(chain.from_iterable(out)), dtype=np.intp, count=2 * total
-    ).reshape(total, 2)
-    return counts, flat[:, 0], flat[:, 1]
+    return out
 
 
 def _compact_forward(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

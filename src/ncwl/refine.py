@@ -34,6 +34,10 @@ sort engine to. The tuple methods always sort; their interning reference,
 a tuple universe under the same :func:`_intern_round`, lives with the
 tests.
 
+Every round step takes and returns one int64 color array over the entity
+order; :func:`refine` converts each round to Python ints for its
+:class:`Coloring`.
+
 Pairwise comparison interleaves the two graphs in one joint run (the node
 methods on their disjoint union, the tuple methods in the same sorts),
 comparing the color histograms before every refinement round and
@@ -191,20 +195,21 @@ class _NodeUniverse:
         return out
 
 
-def _intern_round(universes, colors: list[int] | None) -> list[int]:
+def _intern_round(universes, colors: np.ndarray | None) -> np.ndarray:
     """One synchronized round over all universes with a fresh shared interner."""
     interner = SignatureInterner()
     new: list[int] = []
     if colors is None:
         for u in universes:
             new.extend(interner.intern(s) for s in u.initial_signatures())
-        return new
+        return np.array(new, dtype=np.int64)
+    colors = colors.tolist()  # Python ints index and hash faster than numpy scalars
     off = 0
     for u in universes:
         part = colors[off : off + u.size]
         new.extend(interner.intern(s) for s in u.iteration_signatures(part))
         off += u.size
-    return new
+    return np.array(new, dtype=np.int64)
 
 
 def _dense_ids(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -329,8 +334,8 @@ def _padded(widths: np.ndarray, nodes: np.ndarray, sentinel: int, *flat: np.ndar
 
 
 def _node_round(
-    classes: list[_WidthClass], labels: Sequence[int], colors: list[int] | None
-) -> list[int]:
+    classes: list[_WidthClass], labels: Sequence[int], colors: np.ndarray | None
+) -> np.ndarray:
     """One 1wl or nc1wl round over the nodes of one graph by sorting.
 
     Each class relabels its rows [sorted pair codes, sorted neighbor colors,
@@ -344,7 +349,7 @@ def _node_round(
     """
     if colors is None:
         ids = {lab: i for i, lab in enumerate(dict.fromkeys(labels))}
-        return [ids[lab] for lab in labels]
+        return np.array([ids[lab] for lab in labels], dtype=np.int64)
     n = len(colors)
     ext = np.empty(n + 1, dtype=np.int64)
     ext[:n] = colors
@@ -369,7 +374,7 @@ def _node_round(
     for cls, (ids, first) in zip(classes, parts):
         new[cls.nodes] = rank[offset + ids]
         offset += len(first)
-    return new.tolist()
+    return new
 
 
 #: Per k, the axis orders that move tuple position i last, for i = 0..k-1.
@@ -378,7 +383,7 @@ _FIBER_AXES = {
 }
 
 
-def _sort_round(graphs: Sequence[Graph], k: int, colors: list[int] | None) -> list[int]:
+def _sort_round(graphs: Sequence[Graph], k: int, colors: np.ndarray | None) -> np.ndarray:
     """One synchronized k-tuple round over all graphs by sorting.
 
     Entities are each graph's node_count**k tuples in row-major order,
@@ -386,8 +391,7 @@ def _sort_round(graphs: Sequence[Graph], k: int, colors: list[int] | None) -> li
     interning tuple universe (kept with the tests) per graph.
     """
     if colors is None:
-        return _dense_ids(_atomic_type_keys(graphs, k))[0].tolist()
-    colors = np.asarray(colors, dtype=np.int64)
+        return _dense_ids(_atomic_type_keys(graphs, k))[0]
     width = max(g.node_count for g in graphs)
     cubes, fibers = [], []
     off = 0
@@ -404,7 +408,7 @@ def _sort_round(graphs: Sequence[Graph], k: int, colors: list[int] | None) -> li
             fiber[:, width - n :] = np.sort(cube.transpose(axes).reshape(-1, n), axis=1)
             fibers.append(fiber)
     if not cubes:
-        return []
+        return colors
     fiber_ids = _dense_ids(np.concatenate(fibers).T)[0]
     rows, start = [], 0
     for cube in cubes:
@@ -417,7 +421,7 @@ def _sort_round(graphs: Sequence[Graph], k: int, colors: list[int] | None) -> li
             row[1 + i] = fiber_ids[start : start + n ** (k - 1)].reshape(shape)
             start += n ** (k - 1)
         rows.append(row.reshape(k + 1, -1))
-    return _dense_ids(np.concatenate(rows, axis=1))[0].tolist()
+    return _dense_ids(np.concatenate(rows, axis=1))[0]
 
 
 def _atomic_type_keys(graphs: Sequence[Graph], k: int) -> np.ndarray:
@@ -448,24 +452,25 @@ def _atomic_type_keys(graphs: Sequence[Graph], k: int) -> np.ndarray:
     return np.concatenate(blocks, axis=1)
 
 
-def _rounds(step: Callable[[list[int] | None], list[int]]) -> Iterator[list[int]]:
-    """Dense color arrays per iteration, ending with the first repeated partition.
+def _rounds(step: Callable[[np.ndarray | None], np.ndarray]) -> Iterator[np.ndarray]:
+    """Dense int64 color arrays per iteration, ending with the first repeated partition.
 
     ``step(None)`` is the initial coloring and ``step(colors)`` the next
-    round. Dense ids are assigned by first appearance in entity order, which
-    makes two equal partitions literally equal as arrays; convergence is
-    therefore plain array equality. The number of rounds is bounded by the
-    entity count since every non-final round strictly splits some class.
+    round; every step takes and returns int64 arrays. Dense ids are assigned
+    by first appearance in entity order, which makes two equal partitions
+    literally equal as arrays; convergence is therefore plain array
+    equality. The number of rounds is bounded by the entity count since
+    every non-final round strictly splits some class.
     """
     colors = step(None)
     yield colors
     for _ in range(len(colors)):
         new = step(colors)
         yield new
-        if new == colors:
+        if np.array_equal(new, colors):
             return
         colors = new
-    if colors:
+    if len(colors):
         raise AssertionError("refinement failed to stabilize within the entity bound")
 
 
@@ -522,10 +527,10 @@ def refine(g: Graph, method: str, node_cap: int | None = None) -> list[Coloring]
     ``method`` is one of :data:`METHODS`; ``node_cap`` bounds the node count
     of the tuple methods (default ``KWL_NODE_CAPS[k]``) and raises
     ValueError above it. Tuple colors are reported over all node_count**k
-    tuples in row-major order.
+    tuples in row-major order. Colorings hold Python ints.
     """
     step, _ = _universes(method, [g], node_cap)
-    return [Coloring.from_colors(c) for c in _rounds(step)]
+    return [Coloring.from_colors(c.tolist()) for c in _rounds(step)]
 
 
 def refine_1wl(g: Graph) -> list[Coloring]:
@@ -561,7 +566,6 @@ def compare(g1: Graph, g2: Graph, method: str, node_cap: int | None = None) -> R
     step, split = _universes(method, [g1, g2], node_cap)
     hists = []
     for it, colors in enumerate(_rounds(step)):
-        colors = np.asarray(colors, dtype=np.int64)
         pair = (_histogram(colors[:split]), _histogram(colors[split:]))
         hists.append(pair)
         if pair[0] != pair[1]:

@@ -1,9 +1,11 @@
-"""Reference implementations that the package's fast engines are tested against.
+"""The reference that the sorting 2wl/3wl engine is tested against.
 
-Both are the package's earlier pure-Python code, kept here unchanged in
-behaviour: :func:`merge_neighbor_edges` for the compact-forward triangle
-lister of ``ncwl.graph``, :class:`TupleUniverse` (under
-``ncwl.refine._intern_round``) for the sorting 2wl/3wl engine.
+:class:`TupleUniverse`, under ``ncwl.refine._intern_round``, is the
+package's earlier pure-Python k-tuple engine, kept here unchanged in
+behaviour. The other references live in the package, where they also
+serve small inputs: ``ncwl.refine._NodeUniverse`` for the node sort engine
+and ``ncwl.graph._merge_neighbor_edges`` for the compact-forward triangle
+lister.
 """
 
 from __future__ import annotations
@@ -14,42 +16,8 @@ from typing import Sequence
 from ncwl import Graph
 
 
-def merge_neighbor_edges(g: Graph) -> list[list[tuple[int, int]]]:
-    """For every node w, the edges (u1, u2) inside N(w), ascending.
-
-    An edge-centric pass over the sorted adjacency: edge (u1, u2) belongs
-    to w's list iff w is a common neighbor of u1 and u2, which
-    merge-intersecting the two sorted adjacency lists finds. Iterating the
-    edges in sorted order leaves every list ascending. Quadratic in the
-    largest degree.
-    """
-    adj = g.adjacency
-    out: list[list[tuple[int, int]]] = [[] for _ in range(g.node_count)]
-    for u1, u2 in g.edges():
-        a, b = adj[u1], adj[u2]
-        i = j = 0
-        la, lb = len(a), len(b)
-        pair = (u1, u2)
-        while i < la and j < lb:
-            x, y = a[i], b[j]
-            if x == y:
-                out[x].append(pair)
-                i += 1
-                j += 1
-            elif x < y:
-                i += 1
-            else:
-                j += 1
-    return out
-
-
 class TupleUniverse:
-    """Entities are all node_count**k ordered tuples in row-major order.
-
-    Interns each tuple's signature under ``ncwl.refine._intern_round``; the
-    reference that the sorting engine ``ncwl.refine._sort_round`` is tested
-    against.
-    """
+    """Entities are all node_count**k ordered tuples in row-major order."""
 
     def __init__(self, g: Graph, k: int):
         self.graph = g
@@ -90,8 +58,6 @@ class TupleUniverse:
         n = self.graph.node_count
         k = self.k
         strides = self._strides
-        if not isinstance(colors, list):
-            colors = list(colors)
         out = []
         for idx, tup in enumerate(self._tuples):
             sig = [colors[idx]]

@@ -9,7 +9,6 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
-from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -23,11 +22,10 @@ from ncwl import (
     decode_multiset,
     disjoint_union,
     embedding_gap,
-    encode_centered,
     encode_multiset,
-    encode_pairwise,
     gin_layer_forward,
     init_layer,
+    injectivity_sweep,
     load_corpus,
     nc_gnn_layer_forward,
     random_gnm,
@@ -107,27 +105,7 @@ def test_04_hierarchy_sweep_500_pairs():
 
 def test_05_codec_injectivity_exhaustive():
     start = time.perf_counter()
-    symbols = ("x1", "x2", "x3")
-    pair_universe = list(combinations_with_replacement(symbols, 2))
-    multisets = [
-        list(c) for size in range(3) for c in combinations_with_replacement(symbols, size)
-    ]
-    pair_multisets = [
-        list(c) for size in range(3) for c in combinations_with_replacement(pair_universe, size)
-    ]
-    ctx = CodecContext()
-    ctx.seed_elements(symbols)
-    pairwise_values = [
-        encode_pairwise(ctx, xs, ws) for xs in multisets for ws in pair_multisets
-    ]
-    assert len(set(pairwise_values)) == len(pairwise_values) == 280
-    centered_values = [
-        encode_centered(ctx, c, xs, ws)
-        for c in symbols
-        for xs in multisets
-        for ws in pair_multisets
-    ]
-    assert len(set(centered_values)) == len(centered_values) == 840
+    assert injectivity_sweep(CodecContext(), ("x1", "x2", "x3"), 2) == (280, 840)
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"took {elapsed:.3f}s, bound 5s"
     report(5, f"exhaustive codec injectivity, 280 + 840 encodings distinct ({elapsed:.3f}s)")

@@ -6,12 +6,14 @@ import subprocess
 import sys
 import tempfile
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ncwl.codec
 from ncwl import (
     METHODS,
     complete_graph,
@@ -222,6 +224,20 @@ class TestCodecCheckCommand:
         res = run_cli("codec-check", "--alphabet", "4", "--max-card", "2")
         assert res.returncode == 0
         assert "990 pairwise" in res.stdout
+
+    @pytest.mark.parametrize(
+        ("encoder", "message"),
+        [
+            ("encode_multiset", "error: fixture: encode {0,2,2} base 4 gave 0, not 9/8\n"),
+            ("encode_pairwise", "error: pairwise collision ([], []) vs ([], [('x0', 'x0')])\n"),
+            ("encode_centered", "error: centered encodings collided\n"),
+        ],
+        ids=["wrong-fixture", "pairwise-collision", "centered-collision"],
+    )
+    def test_failed_check_exit_1(self, monkeypatch, capsys, encoder, message):
+        monkeypatch.setattr(ncwl.codec, encoder, lambda *args: Fraction(0))
+        assert main(["codec-check"]) == 1
+        assert capsys.readouterr().err == message
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given
@@ -16,17 +15,10 @@ from ncwl import (
     encode_centered,
     encode_multiset,
     encode_pairwise,
+    injectivity_sweep,
 )
 
 SYMBOLS = ("x1", "x2", "x3")
-
-
-def small_multisets(symbols, max_card):
-    return [
-        list(c)
-        for size in range(max_card + 1)
-        for c in combinations_with_replacement(symbols, size)
-    ]
 
 
 class TestEncodeMultiset:
@@ -131,16 +123,8 @@ class TestEncodePairwise:
         assert even == [ctx.pair_exponent(y), ctx.pair_exponent(y)]
 
     def test_exhaustive_injectivity_two_symbols(self):
-        symbols = ("a", "b")
-        pair_universe = list(combinations_with_replacement(symbols, 2))
-        ctx = CodecContext(base=11)
-        ctx.seed_elements(symbols)
-        seen = {}
-        for xs in small_multisets(symbols, 2):
-            for ws in small_multisets(pair_universe, 2):
-                value = encode_pairwise(ctx, xs, ws)
-                assert value not in seen, (seen[value], (xs, ws))
-                seen[value] = (xs, ws)
+        # 6 multisets of {a, b} times 10 multisets of {aa, ab, bb}, per center
+        assert injectivity_sweep(CodecContext(base=11), ("a", "b"), 2) == (60, 120)
 
 
 class TestEncodeCentered:

@@ -45,13 +45,13 @@ from ncwl.graph import (
     _FORWARD_MIN_NODES,
     MAX_NODE_COUNT,
     _compact_forward,
+    _merge_neighbor_edges,
     adjacency_arrays,
     neighbor_edge_arrays,
 )
 from ncwl.harness import seeded_rng
 
 from conftest import graphs
-from reference import merge_neighbor_edges
 
 
 def brute_force_neighbor_edges(g: Graph, v: int) -> list[tuple[int, int]]:
@@ -272,7 +272,7 @@ def test_neighbor_edge_index_is_built_once_per_graph(monkeypatch):
 
 def assert_lister_matches_reference(g: Graph):
     """Both lister paths and the tuple view equal the merge reference on ``g``."""
-    expected = merge_neighbor_edges(g)
+    expected = _merge_neighbor_edges(g)
     for counts, u1s, u2s in (neighbor_edge_arrays(g), _compact_forward(g)):
         assert all(a.dtype == np.intp for a in (counts, u1s, u2s))
         assert counts.tolist() == [len(pairs) for pairs in expected]
@@ -283,7 +283,7 @@ def assert_lister_matches_reference(g: Graph):
 
 
 class TestNeighborEdgeLister:
-    """The compact-forward lister and its small-graph merge path against the reference."""
+    """The compact-forward lister and the small-graph path against the merge lister."""
 
     def test_corpus(self):
         for entry in load_corpus():

@@ -5,6 +5,7 @@ import tracemalloc
 from collections import Counter
 from functools import partial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -264,16 +265,42 @@ class TestCompare:
                 assert report.histograms == tuple((c.histogram, c.histogram) for c in seq)
                 assert report.iterations_run == len(seq) - 1
 
+    def test_colorings_and_histograms_hold_python_ints(self):
+        """The rounds pass int64 arrays; what refine and compare return holds Python ints."""
+        for entry in load_corpus():
+            pair = list(entry.graphs())
+            # eight copies lift every union past _SORT_MIN_NODES, into the node sort engine
+            wide = pair
+            for _ in range(3):
+                wide = [disjoint_union(g, g)[0] for g in wide]
+            assert wide[0].node_count + wide[1].node_count >= _SORT_MIN_NODES
+            runs = [(pair, method) for method in METHODS]
+            runs += [(wide, method) for method in ("1wl", "nc1wl")]
+            for (g1, g2), method in runs:
+                colorings = refine(g1, method)
+                hists = [c.histogram for c in colorings]
+                hists += [h for both in compare(g1, g2, method).histograms for h in both]
+                values = [x for c in colorings for x in (c.num_classes, *c.colors)]
+                values += [x for h in hists for color_count in h for x in color_count]
+                assert all(type(x) is int for x in values)
+
+
+def assert_rounds_equal(step, reference):
+    """Both steps give the same int64 color arrays, round by round; returns them."""
+    rounds, expected = list(_rounds(step)), list(_rounds(reference))
+    assert len(rounds) == len(expected)
+    for got, want in zip(rounds, expected):
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want)
+    return rounds
+
 
 def assert_sorting_matches_interning(graph_list, k):
     """Every round of the dispatched k-tuple engine equals the interning reference."""
     step, _ = _universes(f"{k}wl", graph_list, None)
     assert step.func is _sort_round
     reference = partial(_intern_round, [TupleUniverse(g, k) for g in graph_list])
-    rounds = list(_rounds(step))
-    assert rounds == list(_rounds(reference))
-    assert all(type(c) is int for colors in rounds for c in colors)
-    return rounds
+    return assert_rounds_equal(step, reference)
 
 
 class TestSortedTupleEngine:
@@ -334,10 +361,7 @@ def assert_node_sorting_matches_interning(graph_list, method):
     with_neighbor_edges = method == "nc1wl"
     step = partial(_node_round, _width_classes(g, with_neighbor_edges), g.labels)
     reference = partial(_intern_round, [_NodeUniverse(g, with_neighbor_edges)])
-    rounds = list(_rounds(step))
-    assert rounds == list(_rounds(reference))
-    assert all(type(c) is int for colors in rounds for c in colors)
-    return rounds
+    return assert_rounds_equal(step, reference)
 
 
 NODE_METHODS = ("1wl", "nc1wl")
