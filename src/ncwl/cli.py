@@ -20,6 +20,7 @@ from .corpus import CorpusError
 from .graph import (
     GraphFormatError,
     disjoint_union,
+    neighbor_edge_arrays,
     parse_edge_list,
     serialize_edge_list,
     stats,
@@ -31,7 +32,8 @@ from .suite import named_stream, run_suite
 
 
 #: Largest array ``gnn-embed`` may allocate (one-hot input, layer weights,
-#: node embeddings), in float64 entries: 2**25 entries is 256 MiB.
+#: node embeddings, neighbor and pair rows), in float64 entries: 2**25
+#: entries is 256 MiB.
 MAX_EMBED_ARRAY_ENTRIES = 2**25
 #: Largest injectivity sweep ``codec-check`` may run, in objects built:
 #: the pair universe plus every pairwise and centered encoding.
@@ -119,12 +121,17 @@ def cmd_gnn_embed(args) -> int:
     g = _read_graph(args.graph)
     num_labels = max(g.labels, default=0) + 1
     n, dim = g.node_count, args.dim
-    # one-hot input, then (with layers) mlp weights and node embeddings
-    sizes = [n * num_labels] + ([num_labels * dim, n * dim, dim * dim] if args.layers else [])
+    # one-hot input, then (with layers) mlp weights, node embeddings, one
+    # row per neighbor (2m) and, for nc, one pair row per neighbor-edge (3T)
+    sizes = [n * num_labels]
+    if args.layers:
+        sizes += [num_labels * dim, n * dim, dim * dim, 2 * g.edge_count * dim]
+        if args.variant == "nc":
+            sizes.append(len(neighbor_edge_arrays(g)[1]) * dim)
     if max(sizes) > MAX_EMBED_ARRAY_ENTRIES:
         raise ValueError(
-            f"an array of {max(sizes)} entries (nodes={n}, labels={num_labels}, dim={dim}) "
-            f"exceeds the limit of {MAX_EMBED_ARRAY_ENTRIES}"
+            f"an array of {max(sizes)} entries (nodes={n}, edges={g.edge_count}, "
+            f"labels={num_labels}, dim={dim}) exceeds the limit of {MAX_EMBED_ARRAY_ENTRIES}"
         )
     layers = stack_layers(seeded_rng(args.seed, "gnn-embed"), num_labels, args.dim, args.layers)
     vec = embed_graph(g, layers, num_labels, variant=args.variant)

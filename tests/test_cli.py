@@ -185,8 +185,12 @@ class TestGnnEmbedCommand:
 
     @pytest.mark.parametrize(
         "text, flags",
-        [("1 0\nlabels\n0 5000000000\n", ()), ("2 1\n0 1\n", ("--dim", "100000"))],
-        ids=["label-5e9", "dim-1e5"],
+        [
+            ("1 0\nlabels\n0 5000000000\n", ()),
+            ("2 1\n0 1\n", ("--dim", "100000")),
+            (serialize_edge_list(complete_graph(120)), ("--dim", "40")),
+        ],
+        ids=["label-5e9", "dim-1e5", "k120-pairs-dim-40"],
     )
     def test_oversized_arrays_exit_2(self, tmp_path, text, flags):
         path = tmp_path / "g.txt"

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncwl import (
     EdgeFeatures,
@@ -19,6 +23,7 @@ from ncwl import (
     gin_layer_forward_edgefeat,
     init_layer,
     init_mlp,
+    neighbor_edge_lists,
     nc_gnn_layer_backward,
     nc_gnn_layer_forward,
     nc_gnn_layer_forward_edgefeat,
@@ -32,6 +37,7 @@ from ncwl import (
     stats,
 )
 from ncwl.harness import canonical_pair, seeded_rng
+from ncwl.nn import _cascade_length, _grouped_exact_sums
 
 
 def identity_mlp(dim: int) -> Mlp:
@@ -185,6 +191,37 @@ class TestEdgeFeatured:
                 g, np.ones((2, 2)), EdgeFeatures.zeros(g, 1), identity_layer(2)
             )
 
+    def test_feature_rows_follow_edge_order(self):
+        g = random_gnp(random.Random("feat-rows"), 12, 0.4)
+        feats = EdgeFeatures.zeros(g, 1)
+        for i, (u, v) in enumerate(g.edges()):
+            assert feats.row(u, v) == feats.row(v, u) == i
+
+    def test_each_message_gets_its_edge_feature(self):
+        # identity mlps: out[v] = ReLU(H[v] + sum ReLU(H[u] + e_vu) + sum ReLU(H[a] + H[b] + e_ab))
+        g = random_gnp(random.Random("feat-messages"), 30, 0.3)
+        gen = np.random.default_rng(4)
+        H = gen.normal(size=(30, 3))
+        feats = EdgeFeatures(g, gen.normal(size=(g.edge_count, 3)))
+        expected = np.zeros_like(H)
+        for v in range(30):
+            messages = [np.maximum(H[u] + feats.vector(v, u), 0.0) for u in g.adjacency[v]]
+            pairs = [
+                np.maximum(H[a] + H[b] + feats.vector(a, b), 0.0)
+                for a, b in neighbor_edge_lists(g)[v]
+            ]
+            base = H[v] + np.array([math.fsum(col) for col in zip(*messages)] or [0.0] * 3)
+            if pairs:
+                base = base + np.array([math.fsum(col) for col in zip(*pairs)])
+            expected[v] = np.maximum(base, 0.0)
+        out = nc_gnn_layer_forward_edgefeat(g, H, feats, identity_layer(3))
+        assert out.tobytes() == expected.tobytes()
+
+    def test_forward_names_first_unfeatured_edge(self):
+        feats = EdgeFeatures.zeros(path_graph(4), 1)
+        with pytest.raises(ValueError, match=r"missing edge feature for edge \(0, 3\)"):
+            gin_layer_forward_edgefeat(cycle_graph(4), np.ones((4, 1)), feats, identity_mlp(1), 0.0)
+
     def test_missing_edge_feature(self):
         g = complete_graph(2)
         feats = EdgeFeatures.zeros(g, 1)
@@ -208,6 +245,112 @@ class TestReadout:
         H = gen.normal(size=(17, 5))
         shuffled = H[gen.permutation(17)]
         assert np.array_equal(readout_sum(H), readout_sum(shuffled))
+
+
+def fsum_reference(rows: np.ndarray, counts, dim: int) -> np.ndarray:
+    """Per-node, per-column math.fsum: the exact group sums the helper must match."""
+    out = np.zeros((len(counts), dim))
+    start = 0
+    for v, c in enumerate(counts):
+        if c:
+            out[v] = [math.fsum(rows[start : start + c, j]) for j in range(dim)]
+            start += c
+    return out
+
+
+def assert_matches_fsum(rows, counts, dim: int) -> None:
+    """Same bytes as fsum_reference, or the same exception type."""
+    rows = np.asarray(rows, dtype=float).reshape(-1, dim)
+    try:
+        expected = fsum_reference(rows, counts, dim)
+    except (OverflowError, ValueError) as exc:
+        with pytest.raises(type(exc)):
+            _grouped_exact_sums(rows, np.array(counts, dtype=np.intp), dim)
+        return
+    got = _grouped_exact_sums(rows, np.array(counts, dtype=np.intp), dim)
+    assert got.tobytes() == expected.tobytes(), (got, expected)
+
+
+BIG = float(np.finfo(float).max)
+TINY = 2.0**-1074
+SPECIAL = [0.0, -0.0, 1.0, -1.0, 2.0**-53, -(2.0**-53), TINY, -TINY, 2.0**-1022, 1e300, -1e300]
+SPECIAL += [BIG, -BIG, 2.0**969, math.inf, -math.inf, math.nan]
+
+
+class TestGroupedExactSums:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fsum(self, data):
+        dim = data.draw(st.integers(1, 6))
+        counts = data.draw(st.lists(st.integers(0, 7), max_size=8))
+        values = st.one_of(st.floats(), st.sampled_from(SPECIAL))
+        flat = data.draw(st.lists(values, min_size=sum(counts) * dim, max_size=sum(counts) * dim))
+        assert_matches_fsum(flat, counts, dim)
+        # and with every group in the cascade, whatever its cost
+        with mock.patch("ncwl.nn._cascade_length", lambda counts, dim: max(counts, default=0)):
+            assert_matches_fsum(flat, counts, dim)
+
+    @pytest.mark.parametrize(
+        "groups",
+        [
+            [[1.0, 2.0**-53], [1.0 + 2.0**-52, 2.0**-53], [1.0, 2.0**-53, 2.0**-106]],
+            [[-1.0, -(2.0**-53)], [3.0, 2.0**-52, -(2.0**-105)], [2.0**-53, 1.0, 2.0**-53]],
+            [[-0.0], [-0.0, -0.0, -0.0], [0.0, -0.0], [-0.0, 0.0], [1.0, -1.0], [-1.0, 1.0, -0.0]],
+            [[TINY, TINY], [TINY, -TINY], [2.0**-1022, -TINY, TINY], [-(2.0**-1023)] * 2],
+            [[1e300, 1.0, -1e300], [1e300, TINY, -1e300], [-1e300, 1e-300, 1e300]],
+            [[1e300, -1e300, -0.0], [1e300, 1e300, -1e300, -1e300, 2.0**-1022]],
+            [[math.nan, 1.0], [1.0, math.inf], [-math.inf, 2.0], [math.inf, math.nan]],
+            [[BIG, BIG, -BIG]],
+            [[BIG, 2.0**969, 2.0**969, -BIG]],
+            [[math.inf, 1.0, -math.inf]],
+        ],
+        ids=[
+            "ties-2^-53",
+            "ties-negative",
+            "signed-zeros",
+            "subnormals",
+            "near-cancelling-1e300",
+            "cancelling-1e300",
+            "nan-and-inf",
+            "overflow",
+            "overflow-with-finite-sum",
+            "inf-minus-inf",
+        ],
+    )
+    def test_hand_picked_groups(self, groups):
+        # column j holds each group rotated by j, so every order is summed
+        dim = 64
+        counts = [len(group) for group in groups]
+        rows = np.concatenate([np.array([np.roll(g, j) for j in range(dim)]).T for g in groups])
+        assert _cascade_length(np.array(counts), dim) == max(counts)
+        assert_matches_fsum(rows, counts, dim)
+
+    @pytest.mark.parametrize("counts, dim", [([], 2), ([0, 0, 0], 3), ([0, 2, 0], 1)])
+    def test_empty_groups(self, counts, dim):
+        assert_matches_fsum(np.arange(sum(counts) * dim), counts, dim)
+
+    def test_hub_plus_short_groups(self, monkeypatch):
+        gen = np.random.default_rng(3)
+        dim = 4
+        counts = np.concatenate(([500, 2, 2], gen.integers(0, 5, size=200)))
+        rows = gen.normal(size=(int(counts.sum()), dim))
+        rows[500:502, 1] = [2.5, -2.5]  # a zero sum, so this entry falls back
+        rows[503, 2] = math.inf
+        expected = fsum_reference(rows, counts.tolist(), dim)
+        assert _cascade_length(counts, dim) < 500
+        calls = []
+        fsum = math.fsum
+        monkeypatch.setattr(math, "fsum", lambda xs: calls.append(1) or fsum(xs))
+        got = _grouped_exact_sums(rows, counts, dim)
+        assert got.tobytes() == expected.tobytes()
+        # the hub's columns and the two planted entries, but not the short groups
+        assert dim + 2 <= len(calls) < counts[1:].astype(bool).sum() * dim // 2
+
+    @pytest.mark.parametrize("n", [0, 3, 40])
+    def test_readout_matches_fsum(self, n):
+        H = np.random.default_rng(n).normal(size=(n, 64)) * 10.0 ** np.linspace(-8, 8, 64)
+        expected = np.array([math.fsum(H[:, j]) for j in range(64)])
+        assert readout_sum(H).tobytes() == expected.tobytes()
 
 
 def central_difference_gradients(loss, array, step=1e-5):
