@@ -19,8 +19,8 @@ from . import codec
 from .corpus import CorpusError
 from .graph import (
     GraphFormatError,
+    _neighbor_edge_total,
     disjoint_union,
-    neighbor_edge_arrays,
     parse_edge_list,
     serialize_edge_list,
     stats,
@@ -127,7 +127,8 @@ def cmd_gnn_embed(args) -> int:
     if args.layers:
         sizes += [num_labels * dim, n * dim, dim * dim, 2 * g.edge_count * dim]
         if args.variant == "nc":
-            sizes.append(len(neighbor_edge_arrays(g)[1]) * dim)
+            # exact wherever it could exceed the limit, so the message names it
+            sizes.append(_neighbor_edge_total(g, MAX_EMBED_ARRAY_ENTRIES // dim) * dim)
     if max(sizes) > MAX_EMBED_ARRAY_ENTRIES:
         raise ValueError(
             f"an array of {max(sizes)} entries (nodes={n}, edges={g.edge_count}, "

@@ -10,22 +10,37 @@ The edge-list text format understood by :func:`parse_edge_list`:
 * lines starting with ``#`` are comments; blank lines are ignored;
   LF and CRLF both accepted
 
+A graph stores its adjacency as two read-only intp arrays in CSR form,
+``degrees`` and ``neighbors`` (every node's sorted neighbor list,
+concatenated; :func:`adjacency_arrays`), next to ``node_count`` and the
+labels, which stay Python ints of any size. :meth:`Graph.build`,
+:func:`parse_edge_list` and :func:`permute_graph` make the arrays by one
+sort of the edge keys, which also finds every out-of-range id, self-loop
+and repeated edge; an invalid edge list is then run through the
+edge-by-edge validator, which names the first bad edge in input order.
+:func:`disjoint_union` concatenates the two graphs' arrays. Graphs below
+:data:`_ARRAY_MIN_NODES` nodes are built by the edge-by-edge validator
+directly, whose cost there is below numpy's fixed cost per call.
+
 Graphs are immutable after construction and safe to share across threads.
-Each graph's neighbor-edge index (the edges inside every node's
-neighborhood, one per triangle corner) is computed lazily on first use,
-once, and cached on the graph as read-only numpy arrays
-(:func:`neighbor_edge_arrays`); every later reader shares that copy. So are
-the read-only arrays of the adjacency (:func:`adjacency_arrays`), which
-the index is built from, and the tuple-of-tuples view of the index
-(:func:`neighbor_edge_lists`), derived from its arrays only when asked
-for. Concurrent first calls compute equal values.
+What is derived from the arrays is computed lazily on first use, once, and
+cached on the graph; every later reader shares that copy:
+
+* the tuple views ``Graph.adjacency`` and ``Graph.edge_set`` (graphs built
+  by the edge-by-edge validator keep the ones it made);
+* the neighbor-edge index (the edges inside every node's neighborhood, one
+  per triangle corner), as read-only arrays (:func:`neighbor_edge_arrays`);
+* the tuple-of-tuples view of the index (:func:`neighbor_edge_lists`).
+
+Concurrent first calls compute equal values.
 
 The index comes from compact-forward triangle listing: nodes ranked by
 (degree, id), each edge oriented towards the higher rank, and the wedges
 inside each out-list closed by an oriented edge, tested in blocks of a
 fixed wedge budget. Its time is O(m sqrt(m)) whatever the largest degree.
 Graphs below :data:`_FORWARD_MIN_NODES` nodes use a merge loop instead,
-whose cost there is below numpy's fixed cost per call.
+whose cost there is below numpy's fixed cost per call; they list the tuple
+view directly and flatten it into the arrays.
 """
 
 from __future__ import annotations
@@ -34,16 +49,29 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import chain, islice
-from typing import Iterable, Sequence
+from itertools import chain, compress, count, islice
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 #: Largest node count a graph may have. Checked before anything is allocated
 #: for it, so a two-line file cannot ask for billions of adjacency lists.
-#: At the limit, ``ncwl stats`` on the file ``4194304 0`` peaks at 425 MB
-#: RSS and ``ncwl refine`` at 514 MB.
+#: At the limit, ``ncwl stats`` on the file ``4194304 0`` takes 0.7 s and
+#: peaks at 194 MiB RSS, ``ncwl refine`` 2.2 s and 394 MiB (2 vCPUs, Python
+#: 3.11, numpy 2.4); when graphs were built as Python lists, 3.9 s and 361
+#: MiB, 5.7 s and 460 MiB.
 MAX_NODE_COUNT = 2**22
+
+#: Graphs below this many nodes are built by the edge-by-edge validator
+#: (:func:`_checked_adjacency`), which also makes their tuple views, larger
+#: ones by sorting the edge keys, whose fixed cost is some 15 numpy calls.
+#: Median CPU time per graph over 40 G(n, p), p = 0.15 / 0.3 / 0.5,
+#: validator vs arrays, 2 vCPUs. ``Graph.build``: n = 8 15/17/19 vs 22/37/35
+#: us; n = 16 19/42/54 vs 27/50/61 us; n = 24 51/89/127 vs 54/70/57 us;
+#: n = 32 59/135/196 vs 41/91/121 us. ``parse_edge_list``: n = 8 15/34/40
+#: vs 22/33/44 us; n = 16 61/95/143 vs 65/89/71 us; n = 24 102/201/299 vs
+#: 85/135/199 us; n = 32 182/224/554 vs 118/212/336 us.
+_ARRAY_MIN_NODES = 24
 
 
 class GraphFormatError(ValueError):
@@ -66,7 +94,7 @@ def _checked_adjacency(node_count: int, edges: Iterable[tuple[int, int]]):
     """Sorted adjacency and canonical edge set of ``edges`` on ``node_count`` nodes.
 
     Raises :class:`_InvalidEdge` for an out-of-range endpoint, a self-loop or
-    a repeated edge (in either orientation).
+    a repeated edge (in either orientation), at the first such edge.
     """
     seen: set[tuple[int, int]] = set()
     adj: list[list[int]] = [[] for _ in range(node_count)]
@@ -85,27 +113,102 @@ def _checked_adjacency(node_count: int, edges: Iterable[tuple[int, int]]):
     return tuple(tuple(sorted(nb)) for nb in adj), frozenset(seen)
 
 
-@dataclass(frozen=True)
+def _int_pairs(edges: list) -> np.ndarray | None:
+    """``edges`` as an (m, 2) int64 array, or None where numpy makes no such array."""
+    if not edges:
+        return np.empty((0, 2), dtype=np.int64)
+    try:
+        pairs = np.array(edges)
+    except (ValueError, TypeError, OverflowError):
+        return None
+    # ids of 2**63 and up come out as float or object arrays, other types as their own
+    if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind != "i":
+        return None
+    return pairs.astype(np.int64, copy=False)
+
+
+def _parsed_pairs(lines: list[str]) -> np.ndarray | None:
+    """The edge lines ``<u> <v>`` as an (m, 2) int64 array.
+
+    Tokens are read by Python's ``int``, as the edge-by-edge path reads
+    them. None if a line does not hold two integers or an id does not fit
+    in int64.
+    """
+    parts = list(map(str.split, lines))
+    if not set(map(len, parts)) <= {2}:
+        return None
+    try:
+        ids = map(int, chain.from_iterable(parts))
+        flat = np.fromiter(ids, dtype=np.int64, count=2 * len(parts))
+    except (ValueError, OverflowError):
+        return None
+    return flat.reshape(-1, 2)
+
+
+def _validated_csr(node_count: int, pairs: np.ndarray | None):
+    """CSR arrays (degrees, neighbors) of the edges ``pairs`` on ``node_count`` nodes.
+
+    None if ``pairs`` is None or holds an out-of-range id, a self-loop or a
+    repeated edge. Each edge {u, v} gives the keys ``u * n + v`` and ``v * n
+    + u``, so one sort of the keys both orders the CSR rows and finds every
+    self-loop and repeat (in either orientation) as two equal neighbors.
+    """
+    if pairs is None:
+        return None
+    n = node_count
+    u, v = pairs[:, 0], pairs[:, 1]
+    if len(pairs) and (min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= n):
+        return None
+    keys = np.sort(np.concatenate((u * n + v, v * n + u)))
+    if (keys[1:] == keys[:-1]).any():
+        return None
+    return _csr(n, keys)
+
+
+def _csr(node_count: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only CSR arrays of the directed edges with the sorted int64 keys ``tail * n + head``."""
+    tails, heads = np.divmod(keys, node_count)
+    degrees = np.bincount(tails, minlength=node_count).astype(np.intp, copy=False)
+    return _frozen(degrees), _frozen(heads.astype(np.intp, copy=False))
+
+
+def _checked_labels(node_count: int, labels: Sequence[int] | None) -> tuple[int, ...]:
+    """``labels`` (all 0 when None) as a tuple; ValueError unless one per node, non-negative."""
+    if labels is None:
+        return (0,) * node_count
+    labels = tuple(labels)
+    if len(labels) != node_count:
+        raise ValueError("labels length must equal node_count")
+    if any(l < 0 for l in labels):
+        raise ValueError("labels must be non-negative")
+    return labels
+
+
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Simple undirected graph with one non-negative integer label per node.
 
+    Node v's neighbors are ``neighbors[s : s + degrees[v]]`` with ``s`` the
+    sum of the degrees before v (CSR); both arrays are intp and read-only.
     Invariants (enforced by :meth:`build` and the parser):
 
-    * adjacency lists are strictly increasing, so there are no self-loops
-      and no parallel edges;
-    * adjacency is symmetric and describes exactly ``edge_set``;
-    * ``edge_set`` stores each edge once as ``(u, v)`` with ``u < v``.
+    * every neighbor list is strictly increasing, so there are no
+      self-loops and no parallel edges;
+    * adjacency is symmetric: u lists v exactly when v lists u.
 
-    The arrays of :func:`adjacency_arrays` and :func:`neighbor_edge_arrays`
-    and the view of :func:`neighbor_edge_lists` are computed on first use
-    and cached on the instance; they are not fields, so they take no part
-    in equality or hashing.
+    ``adjacency`` (each node's sorted neighbor tuple) and ``edge_set``
+    (each edge once as ``(u, v)`` with ``u < v``) are views derived from the
+    arrays on first use and cached, as are the arrays of
+    :func:`neighbor_edge_arrays` and the view of
+    :func:`neighbor_edge_lists`. Two graphs are equal when their node
+    counts, labels and adjacency are; neither ``==`` nor ``hash`` builds a
+    view.
     """
 
     node_count: int
-    adjacency: tuple[tuple[int, ...], ...]
-    edge_set: frozenset[tuple[int, int]]
     labels: tuple[int, ...]
+    degrees: np.ndarray
+    neighbors: np.ndarray
 
     @classmethod
     def build(
@@ -118,37 +221,69 @@ class Graph:
             raise ValueError("node_count must be non-negative")
         if node_count > MAX_NODE_COUNT:
             raise ValueError(f"node_count {node_count} exceeds the limit of {MAX_NODE_COUNT}")
-        adjacency, edge_set = _checked_adjacency(node_count, edges)
-        if labels is None:
-            labels = [0] * node_count
-        else:
-            labels = list(labels)
-            if len(labels) != node_count:
-                raise ValueError("labels length must equal node_count")
-            if any(l < 0 for l in labels):
-                raise ValueError("labels must be non-negative")
-        return cls(node_count, adjacency, edge_set, tuple(labels))
+        csr = None
+        if node_count >= _ARRAY_MIN_NODES:
+            edges = list(edges)
+            csr = _validated_csr(node_count, _int_pairs(edges))
+        if csr is None:
+            # small graphs, and edges the arrays rejected; the validator raises at the first bad one
+            adjacency, edge_set = _checked_adjacency(node_count, edges)
+            labels = _checked_labels(node_count, labels)
+            return cls._from_views(node_count, labels, adjacency, edge_set)
+        return cls(node_count, _checked_labels(node_count, labels), *csr)
+
+    @classmethod
+    def _from_views(cls, node_count: int, labels: tuple[int, ...], adjacency, edge_set) -> "Graph":
+        """The graph of a checked adjacency and edge set, which it keeps as its views."""
+        degrees = np.fromiter(map(len, adjacency), dtype=np.intp, count=node_count)
+        neighbors = np.fromiter(
+            chain.from_iterable(adjacency), dtype=np.intp, count=2 * len(edge_set)
+        )
+        g = cls(node_count, labels, _frozen(degrees), _frozen(neighbors))
+        g.__dict__.update(adjacency=adjacency, edge_set=edge_set)
+        return g
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (
+            self.node_count == other.node_count
+            and self.labels == other.labels
+            and np.array_equal(self.degrees, other.degrees)
+            and np.array_equal(self.neighbors, other.neighbors)
+        )
+
+    def __hash__(self) -> int:
+        arrays = (self.degrees.tobytes(), self.neighbors.tobytes())
+        return hash((self.node_count, self.labels, arrays))
+
+    @cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Every node's sorted neighbors, as a tuple per node."""
+        flat = iter(self.neighbors.tolist())
+        return tuple(tuple(islice(flat, d)) for d in self.degrees.tolist())
+
+    @cached_property
+    def edge_set(self) -> frozenset[tuple[int, int]]:
+        """Every edge once as (u, v) with u < v."""
+        return frozenset(self.edges())
 
     @property
     def edge_count(self) -> int:
-        return len(self.edge_set)
+        return len(self.neighbors) // 2
 
     def edges(self) -> list[tuple[int, int]]:
         """Edges as (u, v) with u < v, lexicographically sorted."""
-        return sorted(self.edge_set)
+        owners = np.repeat(np.arange(self.node_count), self.degrees)
+        upper = owners < self.neighbors
+        return list(zip(owners[upper].tolist(), self.neighbors[upper].tolist()))
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        return int(self.degrees[v])
 
     def has_edge(self, u: int, v: int) -> bool:
+        """Whether {u, v} is an edge; builds the ``edge_set`` view on first use."""
         return ((u, v) if u < v else (v, u)) in self.edge_set
-
-    @cached_property
-    def _adjacency_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        adj = self.adjacency
-        degrees = _frozen(np.fromiter(map(len, adj), dtype=np.intp, count=self.node_count))
-        neighbors = np.fromiter(chain.from_iterable(adj), dtype=np.intp, count=2 * self.edge_count)
-        return degrees, _frozen(neighbors)
 
     @cached_property
     def _neighbor_edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -157,6 +292,9 @@ class Graph:
 
     @cached_property
     def _neighbor_edge_lists(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        if self.node_count < _FORWARD_MIN_NODES:
+            # the merge lister's own lists; the arrays of a small graph come from them
+            return tuple(map(tuple, _merge_neighbor_edges(self)))
         counts, u1s, u2s = self._neighbor_edge_arrays
         pairs = zip(u1s.tolist(), u2s.tolist())
         return tuple(tuple(islice(pairs, c)) for c in counts.tolist())
@@ -196,65 +334,70 @@ def parse_edge_list(text: str) -> Graph:
     Raises :class:`GraphFormatError` with a 1-based line number for malformed
     lines, self-loops, duplicate edges, and out-of-range node ids.
     """
-    # (line_number, stripped_content) for non-comment, non-blank lines
-    data: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        data.append((lineno, line))
+    stripped = list(map(str.strip, text.splitlines()))
+    keep = [bool(line) and line[0] != "#" for line in stripped]
+    # the non-comment, non-blank lines, stripped, and their 1-based line numbers
+    data = list(compress(stripped, keep))
+    numbers = list(compress(count(1), keep))
 
     if not data:
         raise GraphFormatError("empty input: missing header line")
 
-    lineno, header = data[0]
-    parts = header.split()
+    parts = data[0].split()
     if len(parts) != 2:
-        raise GraphFormatError("header must be '<node_count> <edge_count>'", lineno)
+        raise GraphFormatError("header must be '<node_count> <edge_count>'", numbers[0])
     try:
         node_count, edge_count = int(parts[0]), int(parts[1])
     except ValueError:
-        raise GraphFormatError("header must contain two integers", lineno) from None
+        raise GraphFormatError("header must contain two integers", numbers[0]) from None
     if node_count < 0 or edge_count < 0:
-        raise GraphFormatError("header counts must be non-negative", lineno)
+        raise GraphFormatError("header counts must be non-negative", numbers[0])
     if node_count > MAX_NODE_COUNT:
         raise GraphFormatError(
-            f"node count {node_count} exceeds the limit of {MAX_NODE_COUNT}", lineno
+            f"node count {node_count} exceeds the limit of {MAX_NODE_COUNT}", numbers[0]
         )
+
+    csr = None
+    if node_count >= _ARRAY_MIN_NODES and len(data) > edge_count:
+        csr = _validated_csr(node_count, _parsed_pairs(data[1 : 1 + edge_count]))
 
     def edge_lines():
         for i in range(edge_count):
             if 1 + i >= len(data):
-                raise GraphFormatError(f"expected {edge_count} edge lines, got {i}", data[-1][0])
-            lineno, line = data[1 + i]
-            parts = line.split()
+                raise GraphFormatError(f"expected {edge_count} edge lines, got {i}", numbers[-1])
+            parts = data[1 + i].split()
             if len(parts) != 2:
-                raise GraphFormatError("edge line must be '<u> <v>'", lineno)
+                raise GraphFormatError("edge line must be '<u> <v>'", numbers[1 + i])
             try:
                 u, v = int(parts[0]), int(parts[1])
             except ValueError:
-                raise GraphFormatError("edge line must contain two integers", lineno) from None
+                raise GraphFormatError(
+                    "edge line must contain two integers", numbers[1 + i]
+                ) from None
             yield u, v
 
-    try:
-        adjacency, edge_set = _checked_adjacency(node_count, edge_lines())
-    except _InvalidEdge as exc:
-        raise GraphFormatError(str(exc), data[1 + exc.index][0]) from None
+    if csr is None:
+        # small graphs, and lines the arrays rejected; a bad line raises here, the first one first
+        try:
+            adjacency, edge_set = _checked_adjacency(node_count, edge_lines())
+        except _InvalidEdge as exc:
+            raise GraphFormatError(str(exc), numbers[1 + exc.index]) from None
     pos = 1 + edge_count
 
-    labels = [0] * node_count
+    labels = (0,) * node_count
     if pos < len(data):
-        lineno, line = data[pos]
+        lineno, line = numbers[pos], data[pos]
         pos += 1
         if line != "labels":
             raise GraphFormatError("expected 'labels' section or end of input", lineno)
+        labels = [0] * node_count
         assigned = [False] * node_count
         for _ in range(node_count):
             if pos >= len(data):
                 raise GraphFormatError(
-                    f"label section must list all {node_count} nodes", data[-1][0]
+                    f"label section must list all {node_count} nodes", numbers[-1]
                 )
-            lineno, line = data[pos]
+            lineno, line = numbers[pos], data[pos]
             pos += 1
             parts = line.split()
             if len(parts) != 2:
@@ -272,8 +415,11 @@ def parse_edge_list(text: str) -> Graph:
             assigned[v] = True
             labels[v] = lab
         if pos < len(data):
-            raise GraphFormatError("unexpected content after label section", data[pos][0])
-    return Graph(node_count, adjacency, edge_set, tuple(labels))
+            raise GraphFormatError("unexpected content after label section", numbers[pos])
+        labels = tuple(labels)
+    if csr is None:
+        return Graph._from_views(node_count, labels, adjacency, edge_set)
+    return Graph(node_count, labels, *csr)
 
 
 def serialize_edge_list(g: Graph) -> str:
@@ -301,7 +447,9 @@ def neighbor_edge_lists(g: Graph) -> tuple[tuple[tuple[int, int], ...], ...]:
     """For every node v, the (u1, u2) pairs of edges inside N(v), ascending.
 
     A tuple view of :func:`neighbor_edge_arrays`, built from them on first
-    use. Cached; every call returns the same object.
+    use; on graphs below :data:`_FORWARD_MIN_NODES` nodes the merge lister
+    makes it, and the arrays are built from it. Cached; every call returns
+    the same object.
     """
     return g._neighbor_edge_lists
 
@@ -310,9 +458,9 @@ def adjacency_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (degrees, neighbors): every node's sorted adjacency list, concatenated.
 
     Node v's neighbors are ``neighbors[s : s + degrees[v]]`` with ``s`` the
-    sum of the degrees before v (CSR). Computed once per graph and cached.
+    sum of the degrees before v (CSR). The stored form of the graph.
     """
-    return g._adjacency_arrays
+    return g.degrees, g.neighbors
 
 
 def neighbor_edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -343,12 +491,13 @@ _WEDGE_BLOCK = 2**16
 def _list_neighbor_edges(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The one triangle lister: the arrays behind :func:`neighbor_edge_arrays`.
 
-    Graphs below :data:`_FORWARD_MIN_NODES` nodes use the merge lister,
-    the one the tests hold :func:`_compact_forward` to.
+    Graphs below :data:`_FORWARD_MIN_NODES` nodes flatten the tuple view,
+    which the merge lister (the one the tests hold :func:`_compact_forward`
+    to) makes for them.
     """
     if g.node_count >= _FORWARD_MIN_NODES:
         return _compact_forward(g)
-    out = _merge_neighbor_edges(g)
+    out = g._neighbor_edge_lists
     counts = np.fromiter(map(len, out), dtype=np.intp, count=g.node_count)
     total = int(counts.sum())
     flat = np.fromiter(
@@ -366,21 +515,25 @@ def _merge_neighbor_edges(g: Graph) -> list[list[tuple[int, int]]]:
     """
     adj = g.adjacency
     out: list[list[tuple[int, int]]] = [[] for _ in range(g.node_count)]
-    for u1, u2 in g.edges():
-        a, b = adj[u1], adj[u2]
-        i = j = 0
-        la, lb = len(a), len(b)
-        pair = (u1, u2)
-        while i < la and j < lb:
-            x, y = a[i], b[j]
-            if x == y:
-                out[x].append(pair)
-                i += 1
-                j += 1
-            elif x < y:
-                i += 1
-            else:
-                j += 1
+    for u1, a in enumerate(adj):
+        la = len(a)
+        for u2 in a:
+            if u2 < u1:
+                continue
+            b = adj[u2]
+            i = j = 0
+            lb = len(b)
+            pair = (u1, u2)
+            while i < la and j < lb:
+                x, y = a[i], b[j]
+                if x == y:
+                    out[x].append(pair)
+                    i += 1
+                    j += 1
+                elif x < y:
+                    i += 1
+                else:
+                    j += 1
     return out
 
 
@@ -389,10 +542,11 @@ def _compact_forward(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     A triangle x < y < z gives one row (center, u1, u2) per corner: (x, y,
     z), (y, x, z) and (z, x, y). One lexsort puts the rows in (v, u1, u2)
-    order. The triangle search is a function of its own so that its scratch
+    order. The triangle search is a generator of its own so that its scratch
     arrays are freed before the rows are built.
     """
-    x, y, z = np.sort(_forward_triangles(*adjacency_arrays(g)), axis=0)
+    blocks = (np.empty((3, 0), dtype=np.intp), *_forward_triangles(*adjacency_arrays(g)))
+    x, y, z = np.sort(np.concatenate(blocks, axis=1), axis=0)
     centers = np.concatenate((x, y, z))
     u1s = np.concatenate((y, x, x))
     u2s = np.concatenate((z, z, y))
@@ -400,8 +554,8 @@ def _compact_forward(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.bincount(centers, minlength=g.node_count), u1s[by_node], u2s[by_node]
 
 
-def _forward_triangles(degrees: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
-    """Every triangle of the CSR graph once, as the columns of a (3, T) array.
+def _forward_triangles(degrees: np.ndarray, neighbors: np.ndarray) -> Iterator[np.ndarray]:
+    """Every triangle of the CSR graph once, as the columns of (3, k) blocks.
 
     Compact-forward (Chiba and Nishizeki 1985; Latapy 2008): nodes are
     ranked by (degree, id), and every edge is oriented from its lower-ranked
@@ -410,7 +564,8 @@ def _forward_triangles(degrees: np.ndarray, neighbors: np.ndarray) -> np.ndarray
     rank) closed by the oriented edge b -> c. No out-list is longer than
     sqrt(2m), so there are O(m sqrt(m)) wedges, where merging a hub's
     adjacency once per hub edge is quadratic in its degree. Wedges are made
-    and tested in blocks of about :data:`_WEDGE_BLOCK`.
+    and tested in blocks of about :data:`_WEDGE_BLOCK`; each block yields
+    the triangles it closed.
     """
     n = len(degrees)
     order = np.argsort(degrees, kind="stable")  # rank -> node id
@@ -429,7 +584,6 @@ def _forward_triangles(degrees: np.ndarray, neighbors: np.ndarray) -> np.ndarray
     wedge_ends = np.cumsum(later)
     # wedge w, numbered over all edges, pairs first arm e with edge w + shift[e]
     shift = np.arange(1, m + 1) - wedge_ends + later
-    found = [np.empty((3, 0), dtype=np.intp)]
     start = 0
     while start < m:
         done = wedge_ends[start] - later[start]
@@ -440,9 +594,25 @@ def _forward_triangles(degrees: np.ndarray, neighbors: np.ndarray) -> np.ndarray
         closing = heads[first] * n + heads[second]
         closed = keys[np.minimum(np.searchsorted(keys, closing), m - 1)] == closing
         first, second = first[closed], second[closed]
-        found.append(np.stack((tails[first], heads[first], heads[second])))
+        yield order[np.stack((tails[first], heads[first], heads[second]))]
         start = stop
-    return order[np.concatenate(found, axis=1)]
+
+
+def _neighbor_edge_total(g: Graph, cap: int) -> int:
+    """3T, the length of the neighbor-edge index, where it may exceed ``cap``.
+
+    An edge lies in at most min(d_u, d_v) - 1 triangles, so 3T is at most
+    the sum of that over the edges. A bound within ``cap`` is returned as
+    it is; above it, the triangles are counted block by block without
+    storing them.
+    """
+    degrees, neighbors = adjacency_arrays(g)
+    owners = np.repeat(np.arange(g.node_count), degrees)
+    # every edge twice, once from each end
+    bound = int(np.minimum(degrees[owners], degrees[neighbors]).sum()) // 2 - g.edge_count
+    if bound <= cap:
+        return bound
+    return 3 * sum(block.shape[1] for block in _forward_triangles(degrees, neighbors))
 
 
 def stats(g: Graph) -> GraphStats:
@@ -461,7 +631,7 @@ def stats(g: Graph) -> GraphStats:
         messages_nc_per_node=per_node,
         avg_messages_nc=Fraction(total, n) if n else Fraction(0),
         max_messages_nc=max(per_node, default=0),
-        max_degree=int(adjacency_arrays(g)[0].max(initial=0)),
+        max_degree=int(g.degrees.max(initial=0)),
         memory_bound=min(m, 3 * triangles),
     )
 
@@ -469,21 +639,26 @@ def stats(g: Graph) -> GraphStats:
 def disjoint_union(g1: Graph, g2: Graph) -> tuple[Graph, int]:
     """Union with g2's node ids shifted by g1.node_count; returns (graph, offset)."""
     offset = g1.node_count
-    edges = list(g1.edges())
-    edges.extend((u + offset, v + offset) for u, v in g2.edges())
-    labels = list(g1.labels) + list(g2.labels)
-    return Graph.build(offset + g2.node_count, edges, labels), offset
+    n = offset + g2.node_count
+    if n > MAX_NODE_COUNT:
+        raise ValueError(f"node_count {n} exceeds the limit of {MAX_NODE_COUNT}")
+    # both inputs are valid graphs, so the concatenated arrays are one
+    degrees = np.concatenate((g1.degrees, g2.degrees))
+    neighbors = np.concatenate((g1.neighbors, g2.neighbors + offset))
+    return Graph(n, g1.labels + g2.labels, _frozen(degrees), _frozen(neighbors)), offset
 
 
 def permute_graph(g: Graph, perm: Sequence[int]) -> Graph:
     """Relabel nodes: node v becomes perm[v]. ``perm`` must be a permutation."""
     if sorted(perm) != list(range(g.node_count)):
         raise ValueError("perm is not a permutation of the node ids")
-    labels = [0] * g.node_count
+    n = g.node_count
+    labels = [0] * n
     for v, lab in enumerate(g.labels):
         labels[perm[v]] = lab
-    edges = [(perm[u], perm[v]) for u, v in g.edge_set]
-    return Graph.build(g.node_count, edges, labels)
+    p = np.array(perm, dtype=np.int64)
+    tails = p[np.repeat(np.arange(n), g.degrees)]
+    return Graph(n, tuple(labels), *_csr(n, np.sort(tails * n + p[g.neighbors])))
 
 
 # Small named constructions used throughout the tests and the corpus.

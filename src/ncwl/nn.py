@@ -399,9 +399,11 @@ def nc_gnn_layer_backward(
     d_eps = float((d_base * H).sum())
     d_H = (1.0 + layer.epsilon) * d_base
     # neighbor-sum term is symmetric: node u receives d_base from each v in N(u)
-    for u, nb in enumerate(g.adjacency):
-        if nb:
-            d_H[u] += d_base[list(nb)].sum(axis=0)
+    degrees, neighbors = adjacency_arrays(g)
+    ends = np.cumsum(degrees).tolist()
+    for u, d in enumerate(degrees.tolist()):
+        if d:
+            d_H[u] += d_base[neighbors[ends[u] - d : ends[u]]].sum(axis=0)
     if len(u1s):
         d_M = np.repeat(d_base, counts, axis=0)
         d_Y, mlp2_grads = layer.mlp2._backward(mlp2_cache, d_M)

@@ -439,8 +439,8 @@ def _atomic_type_keys(graphs: Sequence[Graph], k: int) -> np.ndarray:
         n = g.node_count
         labels = np.array([rank[lab] for lab in g.labels], dtype=np.int64)
         code = np.zeros((n, n), dtype=np.int64)
-        u, v = np.array(g.edges(), dtype=np.int64).reshape(-1, 2).T
-        code[u, v] = code[v, u] = 1
+        degrees, neighbors = adjacency_arrays(g)
+        code[np.repeat(np.arange(n), degrees), neighbors] = 1
         np.fill_diagonal(code, 2)
         pos = np.indices((n,) * k, sparse=True)
         block = np.empty((k + len(pairs),) + (n,) * k, dtype=np.int64)

@@ -1,19 +1,153 @@
-"""The reference that the sorting 2wl/3wl engine is tested against.
+"""The references that the sorting engines and the array graph core are tested against.
 
 :class:`TupleUniverse`, under ``ncwl.refine._intern_round``, is the
 package's earlier pure-Python k-tuple engine, kept here unchanged in
-behaviour. The other references live in the package, where they also
-serve small inputs: ``ncwl.refine._NodeUniverse`` for the node sort engine
-and ``ncwl.graph._merge_neighbor_edges`` for the compact-forward triangle
+behaviour. :func:`parse_edge_list` and :func:`build` are the package's
+earlier tuple-built parser and ``Graph.build``, returning a graph's tuple
+form ``(node_count, adjacency, edge_set, labels)``. The other references
+live in the package, where they also serve small inputs:
+``ncwl.refine._NodeUniverse`` for the node sort engine and
+``ncwl.graph._merge_neighbor_edges`` for the compact-forward triangle
 lister.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from ncwl import Graph
+from ncwl import Graph, GraphFormatError
+from ncwl.graph import MAX_NODE_COUNT
+
+TupleGraph = tuple[int, tuple[tuple[int, ...], ...], frozenset[tuple[int, int]], tuple[int, ...]]
+
+
+def tuple_form(g: Graph) -> TupleGraph:
+    return g.node_count, g.adjacency, g.edge_set, g.labels
+
+
+class _InvalidEdge(ValueError):
+    def __init__(self, message: str, index: int):
+        self.index = index
+        super().__init__(message)
+
+
+def _checked_adjacency(node_count: int, edges: Iterable[tuple[int, int]]):
+    seen: set[tuple[int, int]] = set()
+    adj: list[list[int]] = [[] for _ in range(node_count)]
+    for u, v in edges:
+        if not (0 <= u < node_count and 0 <= v < node_count):
+            raise _InvalidEdge(f"edge ({u},{v}) out of range for {node_count} nodes", len(seen))
+        if u == v:
+            raise _InvalidEdge(f"self-loop at node {u}", len(seen))
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise _InvalidEdge(f"duplicate edge ({key[0]},{key[1]})", len(seen))
+        seen.add(key)
+        adj[u].append(v)
+        adj[v].append(u)
+    return tuple(tuple(sorted(nb)) for nb in adj), frozenset(seen)
+
+
+def build(
+    node_count: int, edges: Iterable[tuple[int, int]], labels: Sequence[int] | None = None
+) -> TupleGraph:
+    """The earlier ``Graph.build``; raises the same ValueErrors."""
+    if node_count < 0:
+        raise ValueError("node_count must be non-negative")
+    if node_count > MAX_NODE_COUNT:
+        raise ValueError(f"node_count {node_count} exceeds the limit of {MAX_NODE_COUNT}")
+    adjacency, edge_set = _checked_adjacency(node_count, edges)
+    if labels is None:
+        labels = [0] * node_count
+    else:
+        labels = list(labels)
+        if len(labels) != node_count:
+            raise ValueError("labels length must equal node_count")
+        if any(l < 0 for l in labels):
+            raise ValueError("labels must be non-negative")
+    return node_count, adjacency, edge_set, tuple(labels)
+
+
+def parse_edge_list(text: str) -> TupleGraph:
+    """The earlier line-by-line parser; raises the same GraphFormatErrors."""
+    data: list[tuple[int, str]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        data.append((lineno, line))
+
+    if not data:
+        raise GraphFormatError("empty input: missing header line")
+
+    lineno, header = data[0]
+    parts = header.split()
+    if len(parts) != 2:
+        raise GraphFormatError("header must be '<node_count> <edge_count>'", lineno)
+    try:
+        node_count, edge_count = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise GraphFormatError("header must contain two integers", lineno) from None
+    if node_count < 0 or edge_count < 0:
+        raise GraphFormatError("header counts must be non-negative", lineno)
+    if node_count > MAX_NODE_COUNT:
+        raise GraphFormatError(
+            f"node count {node_count} exceeds the limit of {MAX_NODE_COUNT}", lineno
+        )
+
+    def edge_lines():
+        for i in range(edge_count):
+            if 1 + i >= len(data):
+                raise GraphFormatError(f"expected {edge_count} edge lines, got {i}", data[-1][0])
+            lineno, line = data[1 + i]
+            parts = line.split()
+            if len(parts) != 2:
+                raise GraphFormatError("edge line must be '<u> <v>'", lineno)
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise GraphFormatError("edge line must contain two integers", lineno) from None
+            yield u, v
+
+    try:
+        adjacency, edge_set = _checked_adjacency(node_count, edge_lines())
+    except _InvalidEdge as exc:
+        raise GraphFormatError(str(exc), data[1 + exc.index][0]) from None
+    pos = 1 + edge_count
+
+    labels = [0] * node_count
+    if pos < len(data):
+        lineno, line = data[pos]
+        pos += 1
+        if line != "labels":
+            raise GraphFormatError("expected 'labels' section or end of input", lineno)
+        assigned = [False] * node_count
+        for _ in range(node_count):
+            if pos >= len(data):
+                raise GraphFormatError(
+                    f"label section must list all {node_count} nodes", data[-1][0]
+                )
+            lineno, line = data[pos]
+            pos += 1
+            parts = line.split()
+            if len(parts) != 2:
+                raise GraphFormatError("label line must be '<v> <label_id>'", lineno)
+            try:
+                v, lab = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise GraphFormatError("label line must contain two integers", lineno) from None
+            if not 0 <= v < node_count:
+                raise GraphFormatError(f"node id out of range: {v}", lineno)
+            if lab < 0:
+                raise GraphFormatError("label id must be non-negative", lineno)
+            if assigned[v]:
+                raise GraphFormatError(f"duplicate label for node {v}", lineno)
+            assigned[v] = True
+            labels[v] = lab
+        if pos < len(data):
+            raise GraphFormatError("unexpected content after label section", data[pos][0])
+    return node_count, adjacency, edge_set, tuple(labels)
 
 
 class TupleUniverse:

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import contextlib
 import io
+import os
 import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ncwl.codec
+import ncwl.graph
 from ncwl import (
     METHODS,
     complete_graph,
@@ -25,6 +28,7 @@ from ncwl import (
     wheel_graph,
 )
 from ncwl.cli import main
+from ncwl.graph import MAX_NODE_COUNT
 from ncwl.refine import MAX_TUPLE_ENTITIES
 
 from conftest import graphs
@@ -200,6 +204,31 @@ class TestGnnEmbedCommand:
         assert "exceeds the limit" in res.stderr
         assert "Traceback" not in res.stderr
 
+    def test_pair_rows_over_the_limit_are_refused_without_an_index(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # K_200 has 3T = 3940200 pair rows, 35461800 entries at dim 9; the
+        # triangles are counted block by block, never stored
+        path = tmp_path / "k200.txt"
+        path.write_text(serialize_edge_list(complete_graph(200)))
+
+        def refuse(g):
+            raise AssertionError("neighbor-edge index built")
+
+        monkeypatch.setattr(ncwl.graph, "_list_neighbor_edges", refuse)
+        tracemalloc.start()
+        try:
+            assert main(["gnn-embed", str(path), "--dim", "9"]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().err == (
+            "error: an array of 35461800 entries (nodes=200, edges=19900, labels=1, dim=9) "
+            "exceeds the limit of 33554432\n"
+        )
+        # the index alone would take 63 MB
+        assert peak < 24 * 2**20
+
 
 class TestCodecCheckCommand:
     def test_defaults_pass(self):
@@ -290,6 +319,26 @@ def test_header_node_count_over_limit_exits_2(tmp_path):
     assert res.returncode == 2, res.stdout + res.stderr
     assert "line 1: node count 3000000000 exceeds the limit" in res.stderr
     assert "Traceback" not in res.stderr
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+@pytest.mark.parametrize("command, bound_mib", [("stats", 256), ("refine", 448)])
+def test_two_line_file_at_the_node_limit(tmp_path, command, bound_mib):
+    # about 195 and 395 MiB at the time of writing, 361 and 460 MiB while
+    # graphs were built as Python lists
+    path = tmp_path / "g.txt"
+    path.write_text(f"{MAX_NODE_COUNT} 0\n")
+    err = tmp_path / "stderr.txt"
+    with err.open("w") as sink:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ncwl", command, str(path)],
+            stdout=subprocess.DEVNULL,
+            stderr=sink,
+        )
+        _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0, err.read_text()
+    assert usage.ru_maxrss < bound_mib * 1024
 
 
 @st.composite

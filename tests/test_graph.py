@@ -33,6 +33,7 @@ from ncwl import (
     permute_graph,
     random_gnm,
     random_gnp,
+    refine,
     refine_nc1wl,
     serialize_edge_list,
     stack_layers,
@@ -358,25 +359,37 @@ class TestNeighborEdgeLister:
 
 
 def test_no_tuple_view_is_built_on_graphs_the_engines_sort(monkeypatch, tmp_path):
-    def refuse(g):
-        raise AssertionError("tuple view of the neighbor-edge index built")
-
-    monkeypatch.setattr(Graph, "_neighbor_edge_lists", property(refuse))
     rng = random.Random("no-view")
     g = random_gnp(rng, 40, 0.3)
     twin = permute_graph(g, rng.sample(range(40), 40))
-    assert stats(g).triangle_count == brute_force_triangles(g)
-    assert refine_nc1wl(g)[-1].num_classes >= 1
-    assert not compare(g, twin, "nc1wl").distinguished
-    embed_graph(g, stack_layers(seeded_rng(0, "no-view"), 1, 4, 2), 1)
+    # counted on a copy: the oracle reads edge_set, which g must never build
+    triangles = brute_force_triangles(Graph.build(40, g.edges()))
     first, second = tmp_path / "g.txt", tmp_path / "twin.txt"
     first.write_text(serialize_edge_list(g))
     second.write_text(serialize_edge_list(twin))
+
+    def refuse(g):
+        raise AssertionError("tuple view built")
+
+    # the views, including those of the graphs the CLI reads, refuse to be built
+    for view in ("_neighbor_edge_lists", "adjacency", "edge_set"):
+        monkeypatch.setattr(Graph, view, property(refuse))
+    layers = stack_layers(seeded_rng(0, "no-view"), 1, 4, 2)
+    assert stats(g).triangle_count == triangles
+    assert refine_nc1wl(g)[-1].num_classes >= 1
+    assert refine(g, "2wl")[-1].num_classes >= 1
+    assert not compare(g, twin, "nc1wl").distinguished
+    assert not compare(g, twin, "1wl").distinguished
+    embed_graph(g, layers, 1)
+    embed_graph(g, layers, 1, variant="gin")
+    nc_gnn_layer_backward(g, one_hot_features(g, 1), layers[0], np.ones((40, 4)))
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli_main(["stats", str(first)]) == 0
         assert cli_main(["refine", str(first), "--method", "nc1wl"]) == 0
         assert cli_main(["compare", str(first), str(second), "--method", "nc1wl"]) == 0
         assert cli_main(["gnn-embed", str(first), "--layers", "2", "--dim", "4"]) == 0
+    for h in (g, twin):
+        assert "adjacency" not in h.__dict__ and "edge_set" not in h.__dict__
 
 
 class TestStats:
