@@ -3,7 +3,7 @@
 The base construction maps a multiset of natural numbers to the rational
 ``sum(N**-z for z in X)``; as long as every multiplicity stays below the
 base N, the base-N digits of the value are exactly the multiplicities, so
-the multiset can be recovered by iterated divmod against N**0, N**-1, ...
+the multiset can be read back off them.
 
 Two layered variants build on it:
 
@@ -15,10 +15,13 @@ Two layered variants build on it:
   value is the pair (rational part, epsilon coefficient) and equality is
   componentwise, which is exactly what makes distinct centers separable.
 
-All arithmetic is exact (``fractions.Fraction``); nothing here is
-floating-point. A :class:`CodecContext` fixes the base and the exponent
-assignments for a session; encoded values from different contexts are not
-comparable.
+Every value is a ``fractions.Fraction`` and nothing here is
+floating-point. A value is a sum of powers N**-e, so the encoders collect
+the exponents and compute it as one integer digit sum
+``sum(N**(top - e)) / N**top``, normalised once; the decoder reads the
+base-N digits of the integer ``value * N**bound``. A :class:`CodecContext`
+fixes the base and the exponent assignments for a session; encoded values
+from different contexts are not comparable.
 """
 
 from __future__ import annotations
@@ -65,6 +68,8 @@ class CodecContext:
         self.base = int(base)
         self._element_exponents: dict[Hashable, int] = {}
         self._pair_exponents: dict[Fraction, int] = {}
+        # pair exponents by the sorted element exponents of the pair
+        self._pair_terms: dict[tuple[int, int], int] = {}
 
     def seed_elements(self, elements: Iterable[Hashable]) -> None:
         for x in elements:
@@ -90,6 +95,22 @@ class CodecContext:
     def f2(self, value: Fraction) -> Fraction:
         return Fraction(1, self.base ** self.pair_exponent(value))
 
+    def _pair_term(self, e1: int, e2: int) -> int:
+        """``pair_exponent(f1(w1) + f1(w2))`` from the element exponents of w1, w2."""
+        key = (e1, e2) if e1 <= e2 else (e2, e1)
+        exp = self._pair_terms.get(key)
+        if exp is None:
+            lo, hi = key
+            exp = self.pair_exponent(Fraction(self.base ** (hi - lo) + 1, self.base**hi))
+            self._pair_terms[key] = exp
+        return exp
+
+
+def _digit_sum(base: int, exponents: list[int]) -> Fraction:
+    """``sum(base**-e for e in exponents)`` exactly, normalised once."""
+    top = max(exponents, default=0)
+    return Fraction(sum([base ** (top - e) for e in exponents]), base**top)
+
 
 def encode_multiset(ctx: CodecContext, naturals: Iterable[int]) -> Fraction:
     """``sum(N**-z for z in naturals)`` exactly; the identity is the injection.
@@ -99,12 +120,10 @@ def encode_multiset(ctx: CodecContext, naturals: Iterable[int]) -> Fraction:
     xs = list(naturals)
     if len(xs) >= ctx.base:
         raise CodecError(f"multiset cardinality {len(xs)} must be below the base {ctx.base}")
-    total = Fraction(0)
     for z in xs:
         if not isinstance(z, int) or z < 0:
             raise CodecError(f"multiset elements must be natural numbers, got {z!r}")
-        total += Fraction(1, ctx.base**z)
-    return total
+    return _digit_sum(ctx.base, xs)
 
 
 def _max_exponent(value: Fraction, base: int) -> int:
@@ -125,10 +144,12 @@ def _max_exponent(value: Fraction, base: int) -> int:
 
 
 def decode_multiset(value: Fraction | int, base: int) -> tuple[int, ...]:
-    """Recover the encoded multiset of naturals by iterated divmod.
+    """Recover the encoded multiset of naturals from its base-N digits.
 
-    Inverse of :func:`encode_multiset` on its range. The quotient against
-    N**-i is the multiplicity of i; the walk stops at remainder 0.
+    Inverse of :func:`encode_multiset` on its range. With N**bound the
+    smallest power the denominator divides, ``value * N**bound`` is an
+    integer: its part above N**bound is the multiplicity of 0 and its
+    lower base-N digits, most significant first, those of 1, ..., bound.
     """
     if base < 3:
         raise CodecError(f"base must be at least 3, got {base}")
@@ -138,24 +159,36 @@ def decode_multiset(value: Fraction | int, base: int) -> tuple[int, ...]:
     if value == 0:
         return ()
     bound = _max_exponent(value, base)
-    out: list[int] = []
-    remainder = value
-    for i in range(bound + 1):
-        if remainder == 0:
-            break
-        q, remainder = divmod(remainder, Fraction(1, base**i))
-        out.extend([i] * int(q))
-    if remainder != 0:
-        raise CodecError(f"value {value} is not decodable under base {base}")
+    scale = base**bound
+    whole, rest = divmod(value.numerator * (scale // value.denominator), scale)
+    digits = []
+    for _ in range(bound):
+        rest, digit = divmod(rest, base)
+        digits.append(digit)
+    out = [0] * whole
+    for i, digit in enumerate(reversed(digits), start=1):
+        out.extend([i] * digit)
     return tuple(out)
 
 
-def _normalized_pairs(ctx: CodecContext, pairs: Iterable) -> list[Fraction]:
-    values = []
-    for pair in pairs:
-        w1, w2 = pair
-        values.append(ctx.f1(w1) + ctx.f1(w2))
-    return values
+def _pairwise_exponents(
+    ctx: CodecContext, elements: Iterable[Hashable], pairs: Iterable
+) -> list[int]:
+    """The exponents of the terms of (X, W).
+
+    Interns in the order of the value-keyed construction: the elements of
+    X, then both ends of each pair, then each pair's value f1(w1) + f1(w2).
+    """
+    xs = list(elements)
+    ws = list(pairs)
+    if len(xs) + len(ws) >= ctx.base:
+        raise CodecError(
+            f"total cardinality {len(xs) + len(ws)} must be below the base {ctx.base}"
+        )
+    exponents = [ctx.element_exponent(x) for x in xs]
+    ends = [(ctx.element_exponent(w1), ctx.element_exponent(w2)) for w1, w2 in ws]
+    exponents.extend([ctx._pair_term(e1, e2) for e1, e2 in ends])
+    return exponents
 
 
 def encode_pairwise(ctx: CodecContext, elements: Iterable[Hashable], pairs: Iterable) -> Fraction:
@@ -166,18 +199,7 @@ def encode_pairwise(ctx: CodecContext, elements: Iterable[Hashable], pairs: Iter
     interned to an even exponent. Distinct (X, W) give distinct rationals
     within one context while |X| + |W| stays below the base.
     """
-    xs = list(elements)
-    ws = list(pairs)
-    if len(xs) + len(ws) >= ctx.base:
-        raise CodecError(
-            f"total cardinality {len(xs) + len(ws)} must be below the base {ctx.base}"
-        )
-    total = Fraction(0)
-    for x in xs:
-        total += ctx.f1(x)
-    for y in _normalized_pairs(ctx, ws):
-        total += ctx.f2(y)
-    return total
+    return _digit_sum(ctx.base, _pairwise_exponents(ctx, elements, pairs))
 
 
 def encode_centered(
@@ -189,8 +211,26 @@ def encode_centered(
     epsilon coefficient is f1(c) alone, so distinct centers already differ
     in the coefficient and equal centers reduce to pairwise injectivity.
     """
-    f1c = ctx.f1(center)
-    return EpsilonValue(rational=f1c + encode_pairwise(ctx, elements, pairs), epsilon_coeff=f1c)
+    center_exponent = ctx.element_exponent(center)
+    exponents = _pairwise_exponents(ctx, elements, pairs)
+    exponents.append(center_exponent)
+    return EpsilonValue(
+        rational=_digit_sum(ctx.base, exponents),
+        epsilon_coeff=Fraction(1, ctx.base**center_exponent),
+    )
+
+
+def _exact_key(value):
+    """A hashable key, equal for two encodings exactly when they are equal.
+
+    A rational (a Fraction or an int) is always in lowest terms, so its
+    (numerator, denominator) pair is such a key, and hashing that skips the
+    modular inverse that ``Fraction.__hash__`` computes. An EpsilonValue
+    keys by both of its parts.
+    """
+    if type(value) is EpsilonValue:
+        return _exact_key(value.rational), _exact_key(value.epsilon_coeff)
+    return value.numerator, value.denominator
 
 
 def injectivity_sweep(
@@ -216,12 +256,15 @@ def injectivity_sweep(
     pairwise = {}
     for xs in multisets:
         for ws in pair_multisets:
-            encoded = encode_pairwise(ctx, xs, ws)
-            if encoded in pairwise:
-                raise CodecError(f"pairwise collision {pairwise[encoded]} vs {(xs, ws)}")
-            pairwise[encoded] = (xs, ws)
+            key = _exact_key(encode_pairwise(ctx, xs, ws))
+            if key in pairwise:
+                raise CodecError(f"pairwise collision {pairwise[key]} vs {(xs, ws)}")
+            pairwise[key] = (xs, ws)
     centered = {
-        encode_centered(ctx, c, xs, ws) for c in symbols for xs in multisets for ws in pair_multisets
+        _exact_key(encode_centered(ctx, c, xs, ws))
+        for c in symbols
+        for xs in multisets
+        for ws in pair_multisets
     }
     if len(centered) != len(symbols) * len(pairwise):
         raise CodecError("centered encodings collided")

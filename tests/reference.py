@@ -1,10 +1,13 @@
-"""The references that the sorting engines and the array graph core are tested against.
+"""The references that the sorting engines, the array graph core and the codec are tested against.
 
 :class:`TupleUniverse`, under ``ncwl.refine._intern_round``, is the
 package's earlier pure-Python k-tuple engine, kept here unchanged in
 behaviour. :func:`parse_edge_list` and :func:`build` are the package's
 earlier tuple-built parser and ``Graph.build``, returning a graph's tuple
-form ``(node_count, adjacency, edge_set, labels)``. The other references
+form ``(node_count, adjacency, edge_set, labels)``. :func:`encode_multiset`,
+:func:`encode_pairwise`, :func:`encode_centered` and :func:`decode_multiset`
+are the package's earlier codec, which sums one ``Fraction`` per term and
+decodes by a ``Fraction`` divmod per exponent. The other references
 live in the package, where they also serve small inputs:
 ``ncwl.refine._NodeUniverse`` for the node sort engine and
 ``ncwl.graph._merge_neighbor_edges`` for the compact-forward triangle
@@ -13,10 +16,11 @@ lister.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Hashable, Iterable, Sequence
 
-from ncwl import Graph, GraphFormatError
+from ncwl import CodecContext, CodecError, EpsilonValue, Graph, GraphFormatError
 from ncwl.graph import MAX_NODE_COUNT
 
 TupleGraph = tuple[int, tuple[tuple[int, ...], ...], frozenset[tuple[int, int]], tuple[int, ...]]
@@ -201,3 +205,81 @@ class TupleUniverse:
                 sig.append(tuple(sorted(colors[base : base + n * st : st])))
             out.append(tuple(sig))
         return out
+
+
+def encode_multiset(ctx: CodecContext, naturals: Iterable[int]) -> Fraction:
+    """The earlier ``codec.encode_multiset``: one Fraction per term."""
+    xs = list(naturals)
+    if len(xs) >= ctx.base:
+        raise CodecError(f"multiset cardinality {len(xs)} must be below the base {ctx.base}")
+    total = Fraction(0)
+    for z in xs:
+        if not isinstance(z, int) or z < 0:
+            raise CodecError(f"multiset elements must be natural numbers, got {z!r}")
+        total += Fraction(1, ctx.base**z)
+    return total
+
+
+def _max_exponent(value: Fraction, base: int) -> int:
+    den = value.denominator
+    power = 1
+    e = 0
+    while power % den != 0:
+        power *= base
+        e += 1
+        if e > den.bit_length() + 1:
+            raise CodecError(
+                f"value {value} is not decodable under base {base}: "
+                "the residual never terminates"
+            )
+    return e
+
+
+def decode_multiset(value: Fraction | int, base: int) -> tuple[int, ...]:
+    """The earlier ``codec.decode_multiset``: a Fraction divmod per exponent."""
+    if base < 3:
+        raise CodecError(f"base must be at least 3, got {base}")
+    value = Fraction(value)
+    if value < 0:
+        raise CodecError("encoded values are non-negative")
+    if value == 0:
+        return ()
+    bound = _max_exponent(value, base)
+    out: list[int] = []
+    remainder = value
+    for i in range(bound + 1):
+        if remainder == 0:
+            break
+        q, remainder = divmod(remainder, Fraction(1, base**i))
+        out.extend([i] * int(q))
+    if remainder != 0:
+        raise CodecError(f"value {value} is not decodable under base {base}")
+    return tuple(out)
+
+
+def encode_pairwise(ctx: CodecContext, elements: Iterable[Hashable], pairs: Iterable) -> Fraction:
+    """The earlier ``codec.encode_pairwise``: pair values interned through ``ctx.f2``."""
+    xs = list(elements)
+    ws = list(pairs)
+    if len(xs) + len(ws) >= ctx.base:
+        raise CodecError(
+            f"total cardinality {len(xs) + len(ws)} must be below the base {ctx.base}"
+        )
+    total = Fraction(0)
+    for x in xs:
+        total += ctx.f1(x)
+    values = []
+    for pair in ws:
+        w1, w2 = pair
+        values.append(ctx.f1(w1) + ctx.f1(w2))
+    for y in values:
+        total += ctx.f2(y)
+    return total
+
+
+def encode_centered(
+    ctx: CodecContext, center: Hashable, elements: Iterable[Hashable], pairs: Iterable
+) -> EpsilonValue:
+    """The earlier ``codec.encode_centered``."""
+    f1c = ctx.f1(center)
+    return EpsilonValue(rational=f1c + encode_pairwise(ctx, elements, pairs), epsilon_coeff=f1c)

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ncwl.cli
 import ncwl.codec
 import ncwl.graph
 from ncwl import (
@@ -271,6 +272,45 @@ class TestCodecCheckCommand:
         monkeypatch.setattr(ncwl.codec, encoder, lambda *args: Fraction(0))
         assert main(["codec-check"]) == 1
         assert capsys.readouterr().err == message
+
+
+class TestCodecCheckOutput:
+    @pytest.mark.parametrize(
+        ("flags", "injectivity"),
+        [
+            ((), "280 pairwise and 840 centered"),
+            (
+                ("--alphabet", "4", "--max-card", "2", "--seed", "3"),
+                "990 pairwise and 3960 centered",
+            ),
+        ],
+        ids=["defaults", "alphabet-4-card-2-seed-3"],
+    )
+    def test_stdout_is_pinned(self, flags, injectivity):
+        res = run_cli("codec-check", *flags)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == (
+            "fixture: encode {{0,2,2}} base 4 == 9/8 and decodes back: ok\n"
+            "round-trip: 500 random multisets: ok\n"
+            f"injectivity: {injectivity} encodings, all distinct\n"
+        )
+
+    @pytest.mark.parametrize(("alphabet", "max_card"), [(1, 0), (2, 1), (3, 2), (4, 2)])
+    def test_size_guard_counts_what_the_sweep_builds(self, monkeypatch, capsys, alphabet, max_card):
+        # the pair universe plus every pairwise and centered encoding
+        symbols = [f"x{i}" for i in range(alphabet)]
+        base = 2 * max(2 * max_card, 2) + 3
+        built = alphabet * (alphabet + 1) // 2 + sum(
+            ncwl.codec.injectivity_sweep(ncwl.codec.CodecContext(base=base), symbols, max_card)
+        )
+        argv = ["codec-check", "--alphabet", str(alphabet), "--max-card", str(max_card)]
+        monkeypatch.setattr(ncwl.cli, "MAX_CODEC_SWEEP", built - 1)
+        assert main(argv) == 2
+        assert f"sweep builds {built} objects, over the limit of {built - 1}\n" in (
+            capsys.readouterr().err
+        )
+        monkeypatch.setattr(ncwl.cli, "MAX_CODEC_SWEEP", built)
+        assert main(argv) == 0
 
 
 @pytest.mark.parametrize(
