@@ -16,9 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import codec
-from .corpus import CorpusError
 from .graph import (
-    GraphFormatError,
     _neighbor_edge_total,
     disjoint_union,
     parse_edge_list,
@@ -298,9 +296,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GraphFormatError, CorpusError, codec.CodecError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # GraphFormatError, CorpusError and CodecError are ValueErrors
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import gcd
 from typing import Hashable, Iterable, Sequence
 
 ExactRational = Fraction
@@ -127,19 +128,27 @@ def encode_multiset(ctx: CodecContext, naturals: Iterable[int]) -> Fraction:
 
 
 def _max_exponent(value: Fraction, base: int) -> int:
-    """Smallest e with denominator(value) dividing base**e, or raise."""
+    """Smallest e with denominator(value) dividing base**e, or raise.
+
+    Each step divides out gcd(den, base), which takes one factor of base
+    from every prime power of den still above it; den reaches 1 after the
+    smallest such e, and a prime of den that base lacks stops it early.
+    """
     den = value.denominator
-    power = 1
     e = 0
-    # if den | base**e for some e then e <= bit_length(den) since base >= 2
-    while power % den != 0:
-        power *= base
-        e += 1
-        if e > den.bit_length() + 1:
+    while den != 1:
+        common = gcd(den, base)
+        if common == 1:
+            try:
+                shown = str(value)
+            except ValueError:  # past the interpreter's digit limit for int to str
+                shown = f"with a {den.bit_length()}-bit denominator"
             raise CodecError(
-                f"value {value} is not decodable under base {base}: "
+                f"value {shown} is not decodable under base {base}: "
                 "the residual never terminates"
             )
+        den //= common
+        e += 1
     return e
 
 

@@ -16,18 +16,16 @@ concatenated; :func:`adjacency_arrays`), next to ``node_count`` and the
 labels, which stay Python ints of any size. :meth:`Graph.build`,
 :func:`parse_edge_list` and :func:`permute_graph` make the arrays by one
 sort of the edge keys, which also finds every out-of-range id, self-loop
-and repeated edge; an invalid edge list is then run through the
+and repeated edge; an edge list the arrays refuse is then run through the
 edge-by-edge validator, which names the first bad edge in input order.
-:func:`disjoint_union` concatenates the two graphs' arrays. Graphs below
-:data:`_ARRAY_MIN_NODES` nodes are built by the edge-by-edge validator
-directly, whose cost there is below numpy's fixed cost per call.
+:func:`disjoint_union` concatenates the graphs' arrays.
 
 Graphs are immutable after construction and safe to share across threads.
 What is derived from the arrays is computed lazily on first use, once, and
 cached on the graph; every later reader shares that copy:
 
-* the tuple views ``Graph.adjacency`` and ``Graph.edge_set`` (graphs built
-  by the edge-by-edge validator keep the ones it made);
+* the tuple views ``Graph.adjacency`` and ``Graph.edge_set`` (a graph the
+  validator accepted after the arrays refused it keeps the views it made);
 * the neighbor-edge index (the edges inside every node's neighborhood, one
   per triangle corner), as read-only arrays (:func:`neighbor_edge_arrays`);
 * the tuple-of-tuples view of the index (:func:`neighbor_edge_lists`).
@@ -38,9 +36,6 @@ The index comes from compact-forward triangle listing: nodes ranked by
 (degree, id), each edge oriented towards the higher rank, and the wedges
 inside each out-list closed by an oriented edge, tested in blocks of a
 fixed wedge budget. Its time is O(m sqrt(m)) whatever the largest degree.
-Graphs below :data:`_FORWARD_MIN_NODES` nodes use a merge loop instead,
-whose cost there is below numpy's fixed cost per call; they list the tuple
-view directly and flatten it into the arrays.
 """
 
 from __future__ import annotations
@@ -61,18 +56,6 @@ import numpy as np
 #: 3.11, numpy 2.4); when graphs were built as Python lists, 3.9 s and 361
 #: MiB, 5.7 s and 460 MiB.
 MAX_NODE_COUNT = 2**22
-
-#: Graphs below this many nodes are built by the edge-by-edge validator
-#: (:func:`_checked_adjacency`), which also makes their tuple views, larger
-#: ones by sorting the edge keys, whose fixed cost is some 15 numpy calls.
-#: Median CPU time per graph over 40 G(n, p), p = 0.15 / 0.3 / 0.5,
-#: validator vs arrays, 2 vCPUs. ``Graph.build``: n = 8 15/17/19 vs 22/37/35
-#: us; n = 16 19/42/54 vs 27/50/61 us; n = 24 51/89/127 vs 54/70/57 us;
-#: n = 32 59/135/196 vs 41/91/121 us. ``parse_edge_list``: n = 8 15/34/40
-#: vs 22/33/44 us; n = 16 61/95/143 vs 65/89/71 us; n = 24 102/201/299 vs
-#: 85/135/199 us; n = 32 182/224/554 vs 118/212/336 us.
-_ARRAY_MIN_NODES = 24
-
 
 class GraphFormatError(ValueError):
     """Malformed edge-list input. ``line`` is the 1-based offending line."""
@@ -221,20 +204,14 @@ class Graph:
             raise ValueError("node_count must be non-negative")
         if node_count > MAX_NODE_COUNT:
             raise ValueError(f"node_count {node_count} exceeds the limit of {MAX_NODE_COUNT}")
-        csr = None
-        if node_count >= _ARRAY_MIN_NODES:
-            edges = list(edges)
-            csr = _validated_csr(node_count, _int_pairs(edges))
-        if csr is None:
-            # small graphs, and edges the arrays rejected; the validator raises at the first bad one
-            adjacency, edge_set = _checked_adjacency(node_count, edges)
-            labels = _checked_labels(node_count, labels)
-            return cls._from_views(node_count, labels, adjacency, edge_set)
-        return cls(node_count, _checked_labels(node_count, labels), *csr)
-
-    @classmethod
-    def _from_views(cls, node_count: int, labels: tuple[int, ...], adjacency, edge_set) -> "Graph":
-        """The graph of a checked adjacency and edge set, which it keeps as its views."""
+        edges = list(edges)
+        csr = _validated_csr(node_count, _int_pairs(edges))
+        if csr is not None:
+            return cls(node_count, _checked_labels(node_count, labels), *csr)
+        # the validator raises at the first bad edge, or accepts ids the arrays
+        # refuse (floats, bools), and the graph keeps the views it made of them
+        adjacency, edge_set = _checked_adjacency(node_count, edges)
+        labels = _checked_labels(node_count, labels)
         degrees = np.fromiter(map(len, adjacency), dtype=np.intp, count=node_count)
         neighbors = np.fromiter(
             chain.from_iterable(adjacency), dtype=np.intp, count=2 * len(edge_set)
@@ -287,14 +264,11 @@ class Graph:
 
     @cached_property
     def _neighbor_edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        counts, u1s, u2s = _list_neighbor_edges(self)
+        counts, u1s, u2s = _compact_forward(self)
         return _frozen(counts), _frozen(u1s), _frozen(u2s)
 
     @cached_property
     def _neighbor_edge_lists(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        if self.node_count < _FORWARD_MIN_NODES:
-            # the merge lister's own lists; the arrays of a small graph come from them
-            return tuple(map(tuple, _merge_neighbor_edges(self)))
         counts, u1s, u2s = self._neighbor_edge_arrays
         pairs = zip(u1s.tolist(), u2s.tolist())
         return tuple(tuple(islice(pairs, c)) for c in counts.tolist())
@@ -358,7 +332,7 @@ def parse_edge_list(text: str) -> Graph:
         )
 
     csr = None
-    if node_count >= _ARRAY_MIN_NODES and len(data) > edge_count:
+    if len(data) > edge_count:
         csr = _validated_csr(node_count, _parsed_pairs(data[1 : 1 + edge_count]))
 
     def edge_lines():
@@ -377,9 +351,9 @@ def parse_edge_list(text: str) -> Graph:
             yield u, v
 
     if csr is None:
-        # small graphs, and lines the arrays rejected; a bad line raises here, the first one first
+        # the validator refuses every line the arrays refuse, and names the first bad one
         try:
-            adjacency, edge_set = _checked_adjacency(node_count, edge_lines())
+            _checked_adjacency(node_count, edge_lines())
         except _InvalidEdge as exc:
             raise GraphFormatError(str(exc), numbers[1 + exc.index]) from None
     pos = 1 + edge_count
@@ -417,8 +391,6 @@ def parse_edge_list(text: str) -> Graph:
         if pos < len(data):
             raise GraphFormatError("unexpected content after label section", numbers[pos])
         labels = tuple(labels)
-    if csr is None:
-        return Graph._from_views(node_count, labels, adjacency, edge_set)
     return Graph(node_count, labels, *csr)
 
 
@@ -447,9 +419,7 @@ def neighbor_edge_lists(g: Graph) -> tuple[tuple[tuple[int, int], ...], ...]:
     """For every node v, the (u1, u2) pairs of edges inside N(v), ascending.
 
     A tuple view of :func:`neighbor_edge_arrays`, built from them on first
-    use; on graphs below :data:`_FORWARD_MIN_NODES` nodes the merge lister
-    makes it, and the arrays are built from it. Cached; every call returns
-    the same object.
+    use. Cached; every call returns the same object.
     """
     return g._neighbor_edge_lists
 
@@ -473,14 +443,6 @@ def neighbor_edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return g._neighbor_edge_arrays
 
 
-#: Graphs below this many nodes list their neighbor-edges with the merge
-#: loop, larger ones by compact-forward, whose fixed cost is some 40 numpy
-#: calls. Median CPU time per call over 40 G(n, p), p = 0.15 / 0.3 / 0.5,
-#: merge vs compact-forward, 2 vCPUs: n = 10 10/18/45 vs 57/67/96 us;
-#: n = 16 25/63/135 vs 88/97/125 us; n = 20 42/109/247 vs 79/106/167 us;
-#: n = 24 40/122/294 vs 55/86/162 us; n = 32 75/255/699 vs 56/119/433 us.
-_FORWARD_MIN_NODES = 24
-
 #: Wedges compact-forward makes and tests at a time, which bounds its
 #: scratch arrays whatever the graph's wedge count. On G(2000, 100000)
 #: (3.1M wedges, 7.6 MB of output) the lister's numpy allocations peak at
@@ -488,62 +450,14 @@ _FORWARD_MIN_NODES = 24
 _WEDGE_BLOCK = 2**16
 
 
-def _list_neighbor_edges(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The one triangle lister: the arrays behind :func:`neighbor_edge_arrays`.
-
-    Graphs below :data:`_FORWARD_MIN_NODES` nodes flatten the tuple view,
-    which the merge lister (the one the tests hold :func:`_compact_forward`
-    to) makes for them.
-    """
-    if g.node_count >= _FORWARD_MIN_NODES:
-        return _compact_forward(g)
-    out = g._neighbor_edge_lists
-    counts = np.fromiter(map(len, out), dtype=np.intp, count=g.node_count)
-    total = int(counts.sum())
-    flat = np.fromiter(
-        chain.from_iterable(chain.from_iterable(out)), dtype=np.intp, count=2 * total
-    ).reshape(total, 2)
-    return counts, flat[:, 0], flat[:, 1]
-
-
-def _merge_neighbor_edges(g: Graph) -> list[list[tuple[int, int]]]:
-    """For every node w, the edges (u1, u2) inside N(w), ascending.
-
-    An edge (u1, u2) belongs to the list of every common neighbor of u1 and
-    u2, which merging their sorted adjacency lists finds; taking edges in
-    sorted order keeps every list ascending. Quadratic in the largest degree.
-    """
-    adj = g.adjacency
-    out: list[list[tuple[int, int]]] = [[] for _ in range(g.node_count)]
-    for u1, a in enumerate(adj):
-        la = len(a)
-        for u2 in a:
-            if u2 < u1:
-                continue
-            b = adj[u2]
-            i = j = 0
-            lb = len(b)
-            pair = (u1, u2)
-            while i < la and j < lb:
-                x, y = a[i], b[j]
-                if x == y:
-                    out[x].append(pair)
-                    i += 1
-                    j += 1
-                elif x < y:
-                    i += 1
-                else:
-                    j += 1
-    return out
-
-
 def _compact_forward(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Neighbor-edge arrays of ``g`` from its triangles (:func:`_forward_triangles`).
+    """The arrays behind :func:`neighbor_edge_arrays`, from the triangles of ``g``.
 
-    A triangle x < y < z gives one row (center, u1, u2) per corner: (x, y,
-    z), (y, x, z) and (z, x, y). One lexsort puts the rows in (v, u1, u2)
-    order. The triangle search is a generator of its own so that its scratch
-    arrays are freed before the rows are built.
+    Every triangle x < y < z that :func:`_forward_triangles` finds gives one
+    row (center, u1, u2) per corner: (x, y, z), (y, x, z) and (z, x, y). One
+    lexsort puts the rows in (v, u1, u2) order. The triangle search is a
+    generator of its own so that its scratch arrays are freed before the
+    rows are built.
     """
     blocks = (np.empty((3, 0), dtype=np.intp), *_forward_triangles(*adjacency_arrays(g)))
     x, y, z = np.sort(np.concatenate(blocks, axis=1), axis=0)
@@ -638,14 +552,22 @@ def stats(g: Graph) -> GraphStats:
 
 def disjoint_union(g1: Graph, g2: Graph) -> tuple[Graph, int]:
     """Union with g2's node ids shifted by g1.node_count; returns (graph, offset)."""
-    offset = g1.node_count
-    n = offset + g2.node_count
+    return _union((g1, g2)), g1.node_count
+
+
+def _union(graphs: Sequence[Graph]) -> Graph:
+    """The disjoint union of one or more ``graphs``, each shifted past the earlier ones."""
+    sizes = [g.node_count for g in graphs]
+    n = sum(sizes)
     if n > MAX_NODE_COUNT:
         raise ValueError(f"node_count {n} exceeds the limit of {MAX_NODE_COUNT}")
-    # both inputs are valid graphs, so the concatenated arrays are one
-    degrees = np.concatenate((g1.degrees, g2.degrees))
-    neighbors = np.concatenate((g1.neighbors, g2.neighbors + offset))
-    return Graph(n, g1.labels + g2.labels, _frozen(degrees), _frozen(neighbors)), offset
+    starts = np.cumsum([0] + sizes, dtype=np.intp)[:-1]
+    # the inputs are valid graphs, so the concatenated arrays are one
+    degrees = np.concatenate([g.degrees for g in graphs])
+    neighbors = np.concatenate([g.neighbors for g in graphs])
+    neighbors += np.repeat(starts, [len(g.neighbors) for g in graphs])
+    labels = tuple(chain.from_iterable(g.labels for g in graphs))
+    return Graph(n, labels, _frozen(degrees), _frozen(neighbors))
 
 
 def permute_graph(g: Graph, perm: Sequence[int]) -> Graph:

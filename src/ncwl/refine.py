@@ -42,6 +42,10 @@ Pairwise comparison interleaves the two graphs in one joint run (the node
 methods on their disjoint union, the tuple methods in the same sorts),
 comparing the color histograms before every refinement round and
 reporting the first differing round, exactly as an isomorphism-test loop.
+Where only the verdicts of many pairs are wanted, as in the self-check
+suite, :func:`_verdicts` gives the node methods one joint run over the
+union of every graph of a chunk of pairs and reads each pair's verdict
+off the final colors.
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ import numpy as np
 
 from .graph import (
     Graph,
+    _union,
     adjacency_arrays,
     disjoint_union,
     neighbor_edge_arrays,
@@ -571,6 +576,42 @@ def compare(g1: Graph, g2: Graph, method: str, node_cap: int | None = None) -> R
         if pair[0] != pair[1]:
             return RefinementReport(method, VERDICT_DISTINGUISHED, it, it, tuple(hists))
     return RefinementReport(method, VERDICT_NOT_DISTINGUISHED, len(hists) - 1, None, tuple(hists))
+
+
+#: Pairs per joint run of :func:`_verdicts`, which bounds the union's node
+#: count whatever the number of pairs. CPU time of the suite's 400 pairs
+#: under 1wl and nc1wl, 2 vCPUs: chunks of 16/64/128/256 pairs took
+#: 66/46/39/36 ms, one ``compare`` per pair 94 ms.
+_VERDICT_CHUNK = 128
+
+
+def _verdicts(pairs: Sequence[tuple[Graph, Graph]], method: str) -> list[bool]:
+    """``[compare(g1, g2, method).distinguished for g1, g2 in pairs]``.
+
+    The tuple methods compare pair by pair. The node methods refine the
+    union of every graph of :data:`_VERDICT_CHUNK` pairs in one run, where
+    each graph's colors at every round partition its nodes as the pair's
+    own joint run does. Later colors refine earlier ones, so a histogram
+    gap persists, and a pair whose own run has stabilised never splits
+    later: a pair is split iff its graphs' final color multisets differ.
+    """
+    if method not in ("1wl", "nc1wl"):
+        return [compare(g1, g2, method).distinguished for g1, g2 in pairs]
+    split = []
+    for start in range(0, len(pairs), _VERDICT_CHUNK):
+        graphs = [g for pair in pairs[start : start + _VERDICT_CHUNK] for g in pair]
+        step, _ = _universes(method, [_union(graphs)], None)
+        for colors in _rounds(step):
+            pass
+        sizes = [g.node_count for g in graphs]
+        owners = np.repeat(np.arange(len(graphs)), sizes)
+        # each graph's final colors, sorted, in the place of its nodes
+        colors = colors[np.lexsort((colors, owners))]
+        bounds = np.cumsum([0] + sizes).tolist()
+        for i in range(0, len(graphs), 2):
+            first, second = colors[bounds[i] : bounds[i + 1]], colors[bounds[i + 1] : bounds[i + 2]]
+            split.append(not np.array_equal(first, second))
+    return split
 
 
 def brute_force_isomorphic(g1: Graph, g2: Graph, node_cap: int = 10) -> bool:

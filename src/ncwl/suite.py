@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from .corpus import load_corpus
 from .graph import Graph, permute_graph, random_gnp, stats
 from .refine import METHODS, brute_force_isomorphic, compare, refine_1wl, refine_nc1wl
+from .refine import _VERDICT_CHUNK, _verdicts
 
 
 @dataclass
@@ -53,26 +54,40 @@ def check_corpus_oracle(corpus_root=None) -> CheckResult:
     return CheckResult("corpus-oracle", not failures, detail)
 
 
+def _judged_pairs(draw, rng: random.Random, count: int):
+    """(index, pair, verdict per method) of ``count`` pairs of ``draw(rng)``, in draw order.
+
+    Pairs are drawn and judged :data:`_VERDICT_CHUNK` at a time, so that a
+    node method judges a chunk in one run.
+    """
+    for start in range(0, count, _VERDICT_CHUNK):
+        chunk = [draw(rng) for _ in range(min(_VERDICT_CHUNK, count - start))]
+        split = [_verdicts(chunk, m) for m in METHODS]
+        for i, pair in enumerate(chunk):
+            yield start + i, pair, {m: verdicts[i] for m, verdicts in zip(METHODS, split)}
+
+
+def _permuted_pair(rng: random.Random) -> tuple[Graph, Graph]:
+    n = rng.randint(1, 10)
+    g = random_gnp(rng, n, rng.uniform(0.1, 0.9), num_labels=rng.choice([1, 1, 2]))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return g, permute_graph(g, perm)
+
+
 def check_soundness(seed: int, trials: int) -> CheckResult:
     """No method may distinguish a graph from a random relabeling of itself."""
     rng = named_stream(seed, "soundness")
     failures = []
-    for t in range(trials):
-        n = rng.randint(1, 10)
-        g = random_gnp(rng, n, rng.uniform(0.1, 0.9), num_labels=rng.choice([1, 1, 2]))
-        perm = list(range(n))
-        rng.shuffle(perm)
-        h = permute_graph(g, perm)
+    for t, _, verdicts in _judged_pairs(_permuted_pair, rng, trials):
         for method in METHODS:
-            report = compare(g, h, method)
-            if report.distinguished:
+            if verdicts[method]:
                 failures.append(f"trial {t}: {method} split a permuted copy")
     detail = "; ".join(failures[:5]) if failures else f"{trials} permuted pairs, all methods agree"
     return CheckResult("soundness", not failures, detail)
 
 
-def run_hierarchy_trial(rng: random.Random) -> list[str]:
-    """One random pair, all methods plus the oracle; returns violations."""
+def _hierarchy_pair(rng: random.Random) -> tuple[Graph, Graph]:
     n = rng.randint(2, 8)
     g1 = random_gnp(rng, n, rng.uniform(0.2, 0.8))
     kind = rng.random()
@@ -84,8 +99,11 @@ def run_hierarchy_trial(rng: random.Random) -> list[str]:
         g2 = random_gnp(rng, n, rng.uniform(0.2, 0.8))
     else:
         g2 = random_gnp(rng, rng.randint(2, 8), rng.uniform(0.2, 0.8))
+    return g1, g2
 
-    verdicts = {m: compare(g1, g2, m).distinguished for m in METHODS}
+
+def _hierarchy_problems(g1: Graph, g2: Graph, verdicts: dict[str, bool]) -> list[str]:
+    """The hierarchy violations of one pair's verdicts, checked against the oracle."""
     problems = []
     if verdicts["1wl"] and not verdicts["nc1wl"]:
         problems.append("1wl split but nc1wl did not")
@@ -98,11 +116,17 @@ def run_hierarchy_trial(rng: random.Random) -> list[str]:
     return problems
 
 
+def run_hierarchy_trial(rng: random.Random) -> list[str]:
+    """One random pair, all methods plus the oracle; returns violations."""
+    g1, g2 = _hierarchy_pair(rng)
+    return _hierarchy_problems(g1, g2, {m: compare(g1, g2, m).distinguished for m in METHODS})
+
+
 def check_hierarchy(seed: int, pairs: int) -> CheckResult:
     rng = named_stream(seed, "hierarchy")
     failures = []
-    for t in range(pairs):
-        for problem in run_hierarchy_trial(rng):
+    for t, (g1, g2), verdicts in _judged_pairs(_hierarchy_pair, rng, pairs):
+        for problem in _hierarchy_problems(g1, g2, verdicts):
             failures.append(f"pair {t}: {problem}")
     detail = "; ".join(failures[:5]) if failures else f"{pairs} random pairs, no violations"
     return CheckResult("hierarchy", not failures, detail)

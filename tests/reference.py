@@ -4,14 +4,16 @@
 package's earlier pure-Python k-tuple engine, kept here unchanged in
 behaviour. :func:`parse_edge_list` and :func:`build` are the package's
 earlier tuple-built parser and ``Graph.build``, returning a graph's tuple
-form ``(node_count, adjacency, edge_set, labels)``. :func:`encode_multiset`,
+form ``(node_count, adjacency, edge_set, labels)``.
+:func:`merge_neighbor_edges` is the package's earlier neighbor-edge lister,
+the one the compact-forward lister is held to. :func:`check_soundness` and
+:func:`check_hierarchy` are the package's earlier self-checks, which judge
+every pair by its own ``compare`` calls. :func:`encode_multiset`,
 :func:`encode_pairwise`, :func:`encode_centered` and :func:`decode_multiset`
 are the package's earlier codec, which sums one ``Fraction`` per term and
-decodes by a ``Fraction`` divmod per exponent. The other references
-live in the package, where they also serve small inputs:
-``ncwl.refine._NodeUniverse`` for the node sort engine and
-``ncwl.graph._merge_neighbor_edges`` for the compact-forward triangle
-lister.
+decodes by a ``Fraction`` divmod per exponent. The node sort engine's
+reference, ``ncwl.refine._NodeUniverse``, lives in the package, where it
+also serves runs on small graphs.
 """
 
 from __future__ import annotations
@@ -20,8 +22,19 @@ from fractions import Fraction
 from itertools import product
 from typing import Hashable, Iterable, Sequence
 
-from ncwl import CodecContext, CodecError, EpsilonValue, Graph, GraphFormatError
+from ncwl import (
+    METHODS,
+    CodecContext,
+    CodecError,
+    EpsilonValue,
+    Graph,
+    GraphFormatError,
+    compare,
+    permute_graph,
+    random_gnp,
+)
 from ncwl.graph import MAX_NODE_COUNT
+from ncwl.suite import CheckResult, named_stream, run_hierarchy_trial
 
 TupleGraph = tuple[int, tuple[tuple[int, ...], ...], frozenset[tuple[int, int]], tuple[int, ...]]
 
@@ -152,6 +165,66 @@ def parse_edge_list(text: str) -> TupleGraph:
         if pos < len(data):
             raise GraphFormatError("unexpected content after label section", data[pos][0])
     return node_count, adjacency, edge_set, tuple(labels)
+
+
+def merge_neighbor_edges(g: Graph) -> list[list[tuple[int, int]]]:
+    """For every node w, the edges (u1, u2) inside N(w), ascending.
+
+    An edge (u1, u2) belongs to the list of every common neighbor of u1 and
+    u2, which merging their sorted adjacency lists finds; taking edges in
+    sorted order keeps every list ascending. Quadratic in the largest degree.
+    """
+    adj = g.adjacency
+    out: list[list[tuple[int, int]]] = [[] for _ in range(g.node_count)]
+    for u1, a in enumerate(adj):
+        la = len(a)
+        for u2 in a:
+            if u2 < u1:
+                continue
+            b = adj[u2]
+            i = j = 0
+            lb = len(b)
+            pair = (u1, u2)
+            while i < la and j < lb:
+                x, y = a[i], b[j]
+                if x == y:
+                    out[x].append(pair)
+                    i += 1
+                    j += 1
+                elif x < y:
+                    i += 1
+                else:
+                    j += 1
+    return out
+
+
+def check_soundness(seed: int, trials: int) -> CheckResult:
+    """The earlier ``suite.check_soundness``: one ``compare`` per trial and method."""
+    rng = named_stream(seed, "soundness")
+    failures = []
+    for t in range(trials):
+        n = rng.randint(1, 10)
+        g = random_gnp(rng, n, rng.uniform(0.1, 0.9), num_labels=rng.choice([1, 1, 2]))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        h = permute_graph(g, perm)
+        for method in METHODS:
+            report = compare(g, h, method)
+            if report.distinguished:
+                failures.append(f"trial {t}: {method} split a permuted copy")
+    detail = "; ".join(failures[:5]) if failures else f"{trials} permuted pairs, all methods agree"
+    return CheckResult("soundness", not failures, detail)
+
+
+def check_hierarchy(seed: int, pairs: int) -> CheckResult:
+    """The earlier ``suite.check_hierarchy``: one ``run_hierarchy_trial`` per pair."""
+    rng = named_stream(seed, "hierarchy")
+    failures = []
+    for t in range(pairs):
+        for problem in run_hierarchy_trial(rng):
+            failures.append(f"pair {t}: {problem}")
+    detail = "; ".join(failures[:5]) if failures else f"{pairs} random pairs, no violations"
+    return CheckResult("hierarchy", not failures, detail)
 
 
 class TupleUniverse:

@@ -216,7 +216,7 @@ class TestGnnEmbedCommand:
         def refuse(g):
             raise AssertionError("neighbor-edge index built")
 
-        monkeypatch.setattr(ncwl.graph, "_list_neighbor_edges", refuse)
+        monkeypatch.setattr(ncwl.graph, "_compact_forward", refuse)
         tracemalloc.start()
         try:
             assert main(["gnn-embed", str(path), "--dim", "9"]) == 2

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -65,6 +66,20 @@ class TestDecodeMultiset:
     def test_non_terminating_rejected(self):
         with pytest.raises(CodecError, match="not decodable"):
             decode_multiset(Fraction(1, 3), 4)
+
+    def test_huge_non_terminating_denominator_rejected_at_once(self):
+        # 3**20000 shares no factor with 4, so the first gcd step refuses it
+        # (multiplying out powers of 4 up to bit_length(den) grows about
+        # cubically: 1 s at 3**8000); its 9543 digits are past the
+        # interpreter's int to str limit, so the message gives its size
+        start = time.perf_counter()
+        with pytest.raises(CodecError) as exc:
+            decode_multiset(Fraction(1, 3**20000), 4)
+        assert time.perf_counter() - start < 0.5
+        assert str(exc.value) == (
+            "value with a 31700-bit denominator is not decodable under base 4: "
+            "the residual never terminates"
+        )
 
     def test_round_trip_1000_random_multisets(self):
         rng = random.Random("codec-roundtrip")

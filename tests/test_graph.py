@@ -43,16 +43,15 @@ from ncwl import (
 )
 from ncwl.cli import main as cli_main
 from ncwl.graph import (
-    _FORWARD_MIN_NODES,
     MAX_NODE_COUNT,
     _compact_forward,
-    _merge_neighbor_edges,
     adjacency_arrays,
     neighbor_edge_arrays,
 )
 from ncwl.harness import seeded_rng
 
 from conftest import graphs
+from reference import merge_neighbor_edges
 
 
 def brute_force_neighbor_edges(g: Graph, v: int) -> list[tuple[int, int]]:
@@ -251,13 +250,13 @@ def test_neighbor_edge_index_is_built_once_per_graph(monkeypatch):
     import ncwl.graph
 
     builds = []
-    original = ncwl.graph._list_neighbor_edges
+    original = ncwl.graph._compact_forward
 
     def counting(g):
         builds.append(g)
         return original(g)
 
-    monkeypatch.setattr(ncwl.graph, "_list_neighbor_edges", counting)
+    monkeypatch.setattr(ncwl.graph, "_compact_forward", counting)
     g = random_gnp(random.Random("one-build"), 12, 0.5)
     layers = stack_layers(seeded_rng(0, "one-build"), 1, 4, 3)
     embed_graph(g, layers, 1)
@@ -272,8 +271,8 @@ def test_neighbor_edge_index_is_built_once_per_graph(monkeypatch):
 
 
 def assert_lister_matches_reference(g: Graph):
-    """Both lister paths and the tuple view equal the merge reference on ``g``."""
-    expected = _merge_neighbor_edges(g)
+    """The cached index, a fresh listing and the tuple view equal the merge reference on ``g``."""
+    expected = merge_neighbor_edges(g)
     for counts, u1s, u2s in (neighbor_edge_arrays(g), _compact_forward(g)):
         assert all(a.dtype == np.intp for a in (counts, u1s, u2s))
         assert counts.tolist() == [len(pairs) for pairs in expected]
@@ -284,7 +283,7 @@ def assert_lister_matches_reference(g: Graph):
 
 
 class TestNeighborEdgeLister:
-    """The compact-forward lister and the small-graph path against the merge lister."""
+    """The compact-forward lister against the merge lister."""
 
     def test_corpus(self):
         for entry in load_corpus():
@@ -292,18 +291,17 @@ class TestNeighborEdgeLister:
                 assert_lister_matches_reference(g)
             assert_lister_matches_reference(disjoint_union(*entry.graphs())[0])
 
-    @given(graphs(max_nodes=_FORWARD_MIN_NODES + 8))
+    @given(graphs(max_nodes=32))
     @settings(max_examples=150, deadline=None)
     def test_hypothesis_graphs(self, g):
         assert_lister_matches_reference(g)
 
     def test_empty_and_edgeless(self):
-        for n in (0, 1, 2, _FORWARD_MIN_NODES - 1, _FORWARD_MIN_NODES, 300):
+        for n in (0, 1, 2, 23, 24, 300):
             assert_lister_matches_reference(empty_graph(n))
 
-    def test_stars_wheels_and_complete_graphs_on_both_sides_of_the_size_rule(self):
-        sizes = (3, 4, _FORWARD_MIN_NODES - 2, _FORWARD_MIN_NODES - 1, _FORWARD_MIN_NODES, 60)
-        for n in sizes:
+    def test_stars_wheels_and_complete_graphs(self):
+        for n in (3, 4, 22, 23, 24, 60):
             for g in (star_graph(n), wheel_graph(n), complete_graph(n)):
                 assert_lister_matches_reference(g)
 
@@ -317,20 +315,8 @@ class TestNeighborEdgeLister:
         monkeypatch.setattr(ncwl.graph, "_WEDGE_BLOCK", block)
         rng = random.Random(block)
         for _ in range(20):
-            n = rng.randrange(_FORWARD_MIN_NODES, 2 * _FORWARD_MIN_NODES)
+            n = rng.randrange(2, 48)
             assert_lister_matches_reference(random_gnp(rng, n, rng.random()))
-
-    def test_dispatch_uses_compact_forward_from_the_size_rule_on(self, monkeypatch):
-        calls = []
-
-        def recording(g):
-            calls.append(g.node_count)
-            return _compact_forward(g)
-
-        monkeypatch.setattr(ncwl.graph, "_compact_forward", recording)
-        for n in (_FORWARD_MIN_NODES - 1, _FORWARD_MIN_NODES):
-            neighbor_edge_arrays(complete_graph(n))
-        assert calls == [_FORWARD_MIN_NODES]
 
     def test_hub_of_a_large_wheel_is_not_quadratic(self):
         # the merge lister took 2.7 s on wheel_graph(8000) and did not
@@ -350,7 +336,7 @@ class TestNeighborEdgeLister:
         adjacency_arrays(g)
         tracemalloc.start()
         try:
-            counts, _, _ = ncwl.graph._list_neighbor_edges(g)
+            counts, _, _ = _compact_forward(g)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -3,15 +3,12 @@
 ``reference.parse_edge_list`` and ``reference.build`` are the earlier
 parser and ``Graph.build``; every graph the package makes must have their
 tuple form, and every invalid input must raise their error, message and
-line included. Each check runs under the package's size rule and with
-every graph built by arrays (``_ARRAY_MIN_NODES`` = 0).
+line included.
 """
 
 from __future__ import annotations
 
 import random
-from contextlib import contextmanager
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,15 +30,6 @@ from ncwl import (
 from ncwl.graph import _neighbor_edge_total
 
 from conftest import graphs, permutations_of
-
-SIZE_RULES = (0, ncwl.graph._ARRAY_MIN_NODES)
-
-
-@contextmanager
-def size_rule(nodes: int):
-    with mock.patch.object(ncwl.graph, "_ARRAY_MIN_NODES", nodes):
-        yield
-
 
 def assert_stored_form(g: Graph):
     for a in (g.degrees, g.neighbors):
@@ -158,10 +146,7 @@ def edge_list_files(draw, faults=(None,)):
 
 
 def assert_parses_as_reference(text: str):
-    expected = outcome(reference.parse_edge_list, text)
-    for rule in SIZE_RULES:
-        with size_rule(rule):
-            assert outcome(parse_edge_list, text) == expected
+    assert outcome(parse_edge_list, text) == outcome(reference.parse_edge_list, text)
 
 
 class TestParseDifferential:
@@ -246,36 +231,28 @@ class TestBuildDifferential:
     def test_build_matches_reference(self, case):
         n, edges, labels = case
         expected = outcome(reference.build, n, edges, labels)
-        built = []
-        for rule in SIZE_RULES:
-            with size_rule(rule):
-                assert outcome(Graph.build, n, edges, labels) == expected
-                assert outcome(Graph.build, n, iter(edges), labels) == expected
-                if expected[0] == "ok":
-                    built.append(Graph.build(n, edges, labels))
-        if built:
-            a, b = built
+        assert outcome(Graph.build, n, edges, labels) == expected
+        assert outcome(Graph.build, n, iter(edges), labels) == expected
+        if expected[0] == "ok":
+            a, b = Graph.build(n, edges, labels), Graph.build(n, iter(edges), labels)
             assert a == b and hash(a) == hash(b)
 
     def test_numpy_ids_and_arrays_build_the_same_graph(self):
         g = random_gnp(random.Random("numpy-ids"), 40, 0.3)
         pairs = np.array(g.edges(), dtype=np.int32)
-        for rule in SIZE_RULES:
-            with size_rule(rule):
-                assert Graph.build(40, pairs) == g
-                assert Graph.build(40, [tuple(e) for e in pairs.astype(np.int64)]) == g
+        assert Graph.build(40, pairs) == g
+        assert Graph.build(40, [tuple(e) for e in pairs.astype(np.int64)]) == g
         h = Graph.build(40, pairs)
         assert all(type(u) is int for nb in h.adjacency for u in nb)
 
     def test_labels_are_checked_after_the_edges(self):
-        for rule in SIZE_RULES:
-            with size_rule(rule):
-                with pytest.raises(ValueError, match="self-loop"):
-                    Graph.build(30, [(1, 1)], [0])
-                with pytest.raises(ValueError, match="labels length"):
-                    Graph.build(30, [(0, 1)], [0])
-                with pytest.raises(ValueError, match="non-negative"):
-                    Graph.build(30, [(0, 1)], [-1] * 30)
+        for n in (3, 30):
+            with pytest.raises(ValueError, match="self-loop"):
+                Graph.build(n, [(1, 1)], [0])
+            with pytest.raises(ValueError, match="labels length"):
+                Graph.build(n, [(0, 1)], [0])
+            with pytest.raises(ValueError, match="non-negative"):
+                Graph.build(n, [(0, 1)], [-1] * n)
 
 
 def union_reference(g1: Graph, g2: Graph):
@@ -293,10 +270,8 @@ class TestUnionAndPermute:
         assert_stored_form(union)
         expected = union_reference(g1, g2)
         assert reference.tuple_form(union) == expected
-        for rule in SIZE_RULES:
-            with size_rule(rule):
-                rebuilt = Graph.build(expected[0], sorted(expected[2]), expected[3])
-            assert union == rebuilt and hash(union) == hash(rebuilt)
+        rebuilt = Graph.build(expected[0], sorted(expected[2]), expected[3])
+        assert union == rebuilt and hash(union) == hash(rebuilt)
 
     @given(graphs(max_nodes=30, max_labels=3), st.data())
     @settings(max_examples=60, deadline=None)
@@ -309,10 +284,8 @@ class TestUnionAndPermute:
             labels[perm[v]] = lab
         expected = reference.build(g.node_count, [(perm[u], perm[v]) for u, v in g.edges()], labels)
         assert reference.tuple_form(h) == expected
-        for rule in SIZE_RULES:
-            with size_rule(rule):
-                rebuilt = Graph.build(g.node_count, list(expected[2]), labels)
-            assert h == rebuilt and hash(h) == hash(rebuilt)
+        rebuilt = Graph.build(g.node_count, list(expected[2]), labels)
+        assert h == rebuilt and hash(h) == hash(rebuilt)
 
     def test_union_over_the_node_limit_is_refused(self):
         half = Graph.build(ncwl.graph.MAX_NODE_COUNT // 2 + 1, [])
@@ -338,25 +311,17 @@ class TestEqualityAndViews:
         for h in (g, same, relabeled, fewer):
             assert "adjacency" not in h.__dict__ and "edge_set" not in h.__dict__
 
-    def test_small_graphs_keep_the_views_of_the_validator(self):
-        for g in (Graph.build(5, [(0, 1), (1, 2)]), parse_edge_list("5 2\n0 1\n1 2\n")):
-            assert g.__dict__["adjacency"] == ((1,), (0, 2), (1,), (), ())
-            assert g.__dict__["edge_set"] == {(0, 1), (1, 2)}
-
     @given(graphs(max_nodes=30))
     @settings(max_examples=60, deadline=None)
     def test_views_and_accessors_agree_with_the_arrays(self, g):
-        fresh = Graph.build(g.node_count, g.edges(), g.labels)
-        with size_rule(0):
-            arrays_only = Graph.build(g.node_count, g.edges(), g.labels)
-        assert "adjacency" not in arrays_only.__dict__
-        for h in (fresh, arrays_only):
-            edges = h.edges()
-            assert edges == sorted(h.edge_set) and h.edge_count == len(edges)
-            assert all(type(x) is int for e in edges for x in e)
-            assert [h.degree(v) for v in range(h.node_count)] == [len(nb) for nb in h.adjacency]
-            assert all(h.has_edge(v, u) for u, v in edges)
-            assert h.adjacency == g.adjacency and h.edge_set == g.edge_set
+        h = Graph.build(g.node_count, g.edges(), g.labels)
+        assert "adjacency" not in h.__dict__ and "edge_set" not in h.__dict__
+        edges = h.edges()
+        assert edges == sorted(h.edge_set) and h.edge_count == len(edges)
+        assert all(type(x) is int for e in edges for x in e)
+        assert [h.degree(v) for v in range(h.node_count)] == [len(nb) for nb in h.adjacency]
+        assert all(h.has_edge(v, u) for u, v in edges)
+        assert h.adjacency == g.adjacency and h.edge_set == g.edge_set
 
 
 class TestNeighborEdgeTotal:
@@ -371,7 +336,7 @@ class TestNeighborEdgeTotal:
         def refuse(g):
             raise AssertionError("neighbor-edge index built")
 
-        monkeypatch.setattr(ncwl.graph, "_list_neighbor_edges", refuse)
+        monkeypatch.setattr(ncwl.graph, "_compact_forward", refuse)
         g = complete_graph(60)
         assert _neighbor_edge_total(g, 0) == 3 * 34220
         assert "_neighbor_edge_arrays" not in g.__dict__

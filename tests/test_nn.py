@@ -132,7 +132,7 @@ class TestForward:
         def refuse(g):
             raise AssertionError("neighbor-edge index built on the plain path")
 
-        monkeypatch.setattr(ncwl.graph, "_list_neighbor_edges", refuse)
+        monkeypatch.setattr(ncwl.graph, "_compact_forward", refuse)
         g = complete_graph(3)
         H = np.eye(3)
         assert np.array_equal(gin_layer_forward(g, H, identity_mlp(3), 0.0), np.ones((3, 3)))
