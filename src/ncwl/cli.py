@@ -12,21 +12,39 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from fractions import Fraction
+from importlib import import_module
 from pathlib import Path
 
-from . import codec
-from .graph import (
-    _neighbor_edge_total,
-    disjoint_union,
-    parse_edge_list,
-    serialize_edge_list,
-    stats,
-)
-from .harness import seeded_rng
-from .nn import embed_graph, stack_layers
-from .refine import METHODS, compare, refine
-from .suite import named_stream, run_suite
+from . import METHODS, named_stream
+
+#: The library names the commands call, by defining submodule. None is
+#: loaded with this module: each command binds its own (:func:`_bind`), so
+#: ``--help`` and ``codec-check`` never load numpy.
+_LIBRARY = {
+    name: module
+    for module, names in {
+        "graph": "_neighbor_edge_total disjoint_union parse_edge_list serialize_edge_list stats",
+        "nn": "embed_graph seeded_rng stack_layers",
+        "refine": "compare refine",
+        "suite": "run_suite",
+    }.items()
+    for name in names.split()
+}
+
+
+def __getattr__(name: str):
+    if name not in _LIBRARY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_LIBRARY[name]}", __package__), name)
+    return value
+
+
+def _bind(*names: str) -> None:
+    """Bind each of ``names`` not bound yet; one bound already, such as a
+    wrapper set on this module, stays."""
+    for name in names:
+        if name not in globals():
+            __getattr__(name)
 
 
 #: Largest array ``gnn-embed`` may allocate (one-hot input, layer weights,
@@ -39,6 +57,7 @@ MAX_CODEC_SWEEP = 300_000
 
 
 def _read_graph(path: str):
+    _bind("parse_edge_list")
     return parse_edge_list(Path(path).read_text(encoding="utf-8"))
 
 
@@ -51,6 +70,7 @@ def _emit(fields: list[str], fmt: str) -> None:
 
 
 def cmd_refine(args) -> int:
+    _bind("refine")
     g = _read_graph(args.graph)
     colorings = refine(g, args.method, args.k_cap)
     for it, coloring in enumerate(colorings):
@@ -67,6 +87,7 @@ def cmd_refine(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    _bind("compare")
     g1 = _read_graph(args.graph1)
     g2 = _read_graph(args.graph2)
     report = compare(g1, g2, args.method, args.k_cap)
@@ -78,6 +99,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    _bind("stats")
     s = stats(_read_graph(args.graph))
     fields = [
         f"nodes={s.node_count}",
@@ -94,6 +116,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_union(args) -> int:
+    _bind("disjoint_union", "serialize_edge_list")
     g1 = _read_graph(args.graph1)
     g2 = _read_graph(args.graph2)
     union, offset = disjoint_union(g1, g2)
@@ -103,6 +126,7 @@ def cmd_union(args) -> int:
 
 
 def cmd_suite(args) -> int:
+    _bind("run_suite")
     root = Path(args.corpus) if args.corpus else None
     results = run_suite(seed=args.seed, random_pairs=args.random_pairs, corpus_root=root)
     failed = 0
@@ -116,6 +140,7 @@ def cmd_suite(args) -> int:
 
 
 def cmd_gnn_embed(args) -> int:
+    _bind("_neighbor_edge_total", "seeded_rng", "stack_layers", "embed_graph")
     g = _read_graph(args.graph)
     num_labels = max(g.labels, default=0) + 1
     n, dim = g.node_count, args.dim
@@ -140,6 +165,10 @@ def cmd_gnn_embed(args) -> int:
 
 
 def cmd_codec_check(args) -> int:
+    from fractions import Fraction
+
+    from . import codec
+
     required = max(2 * args.max_card, 2)
     base = args.base if args.base is not None else 2 * required + 3
     if base <= required:

@@ -15,21 +15,13 @@ per-node summand sequence aligned between the two graphs.
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 
 from .graph import Graph, disjoint_union, permute_graph
-from .nn import embed_graph, stack_layers
+from .nn import embed_graph, seeded_rng, stack_layers
 from .refine import refine
 
 _VARIANT_METHOD = {"nc": "nc1wl", "gin": "1wl"}
-
-
-def seeded_rng(seed: int, name: str) -> np.random.Generator:
-    """A named, platform-independent child stream of ``seed``."""
-    digest = hashlib.blake2b(f"{seed}/{name}".encode(), digest_size=8).digest()
-    return np.random.default_rng([seed & 0xFFFFFFFF, int.from_bytes(digest, "big")])
 
 
 def canonical_pair(g1: Graph, g2: Graph, method: str = "nc1wl") -> tuple[Graph, Graph]:

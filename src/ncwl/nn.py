@@ -24,6 +24,7 @@ inputs; nothing here trains.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
 
@@ -112,6 +113,12 @@ class NcGnnLayerGrads:
     mlp1: MlpGrads
     mlp2: MlpGrads
     epsilon: float
+
+
+def seeded_rng(seed: int, name: str) -> np.random.Generator:
+    """A named, platform-independent child stream of ``seed``."""
+    digest = hashlib.blake2b(f"{seed}/{name}".encode(), digest_size=8).digest()
+    return np.random.default_rng([seed & 0xFFFFFFFF, int.from_bytes(digest, "big")])
 
 
 def init_mlp(rng: np.random.Generator, in_dim: int, hidden_dim: int, out_dim: int) -> Mlp:

@@ -56,6 +56,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from . import METHODS  # defined numpy-free in the package; re-exported here
 from .graph import (
     Graph,
     _union,
@@ -64,8 +65,6 @@ from .graph import (
     neighbor_edge_arrays,
     neighbor_edge_lists,
 )
-
-METHODS = ("1wl", "nc1wl", "2wl", "3wl")
 
 #: Default node-count caps keeping the tuple universe at ~32k entities.
 #: Both tuple methods relabel by sorting, exactly; a caller may raise the cap

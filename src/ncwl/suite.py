@@ -9,6 +9,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from . import named_stream
 from .corpus import load_corpus
 from .graph import Graph, permute_graph, random_gnp, stats
 from .refine import METHODS, brute_force_isomorphic, compare, refine_1wl, refine_nc1wl
@@ -20,11 +21,6 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
-
-
-def named_stream(seed: int, name: str) -> random.Random:
-    # str seeding hashes via sha512 internally: deterministic across runs
-    return random.Random(f"{seed}/{name}")
 
 
 def check_corpus_verdicts(corpus_root=None) -> CheckResult:
