@@ -25,7 +25,7 @@ _LIBRARY = {
     for module, names in {
         "graph": "_neighbor_edge_total disjoint_union parse_edge_list serialize_edge_list stats",
         "nn": "embed_graph seeded_rng stack_layers",
-        "refine": "compare refine",
+        "refine": "_counted_rounds",
         "suite": "run_suite",
     }.items()
     for name in names.split()
@@ -61,40 +61,36 @@ def _read_graph(path: str):
     return parse_edge_list(Path(path).read_text(encoding="utf-8"))
 
 
-def _fmt_hist(hist) -> str:
-    return ",".join(f"{c}:{k}" for c, k in hist) if hist else "-"
-
-
 def _emit(fields: list[str], fmt: str) -> None:
     print("\t".join(fields) if fmt == "tsv" else " ".join(fields))
 
 
 def cmd_refine(args) -> int:
-    _bind("refine")
+    _bind("_counted_rounds")
     g = _read_graph(args.graph)
-    colorings = refine(g, args.method, args.k_cap)
-    for it, coloring in enumerate(colorings):
+    # each round as it comes; its ids are dense, so entry c of counts is class c
+    for it, (_, (counts,)) in enumerate(_counted_rounds(args.method, [g], args.k_cap)):
+        hist = ",".join(f"{c}:{k}" for c, k in enumerate(counts.tolist())) or "-"
         if args.format == "tsv":
-            print(f"{it}\t{coloring.num_classes}\t{_fmt_hist(coloring.histogram)}")
+            print(f"{it}\t{len(counts)}\t{hist}")
         else:
-            print(
-                f"iteration {it}: classes={coloring.num_classes} "
-                f"histogram={_fmt_hist(coloring.histogram)}"
-            )
+            print(f"iteration {it}: classes={len(counts)} histogram={hist}")
     if args.format != "tsv":
-        print(f"converged after {len(colorings) - 1} iterations")
+        print(f"converged after {it} iterations")
     return 0
 
 
 def cmd_compare(args) -> int:
-    _bind("compare")
+    _bind("_counted_rounds")
     g1 = _read_graph(args.graph1)
     g2 = _read_graph(args.graph2)
-    report = compare(g1, g2, args.method, args.k_cap)
-    if report.distinguished:
-        _emit(["DISTINGUISHED", f"iter={report.distinguishing_iteration}"], args.format)
-        return 1
-    _emit(["NOT-DISTINGUISHED", f"iters={report.iterations_run}"], args.format)
+    rounds = _counted_rounds(args.method, [g1, g2], args.k_cap)
+    # both counts of a round have the class count as length
+    for it, (_, (counts1, counts2)) in enumerate(rounds):
+        if (counts1 != counts2).any():
+            _emit(["DISTINGUISHED", f"iter={it}"], args.format)
+            return 1
+    _emit(["NOT-DISTINGUISHED", f"iters={it}"], args.format)
     return 0
 
 

@@ -35,8 +35,13 @@ a tuple universe under the same :func:`_intern_round`, lives with the
 tests.
 
 Every round step takes and returns one int64 color array over the entity
-order; :func:`refine` converts each round to Python ints for its
-:class:`Coloring`.
+order. :func:`_counted_rounds` is the one round loop: it yields each round's
+colors with a bincount of every graph's colors, after checking that they are
+dense ids. Four consumers read it: :func:`refine` builds its
+:class:`Coloring` objects (Python ints) from it and :func:`compare` its
+:class:`RefinementReport`, while the CLI's ``refine`` prints each round as
+it comes and its ``compare`` stops at the first round whose counts differ,
+keeping neither colorings nor histograms.
 
 Pairwise comparison interleaves the two graphs in one joint run (the node
 methods on their disjoint union, the tuple methods in the same sorts),
@@ -52,6 +57,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import accumulate
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -72,10 +78,12 @@ from .graph import (
 KWL_NODE_CAPS = {2: 181, 3: 32}
 
 #: Largest tuple universe (node_count**k) of one graph, checked before any
-#: allocation whatever the node cap. Near the limit (3wl on 101 nodes, 2wl on
-#: 1024) the rounds alone peak at about 0.3 GB RSS for one graph and 0.45 GB
-#: for a joint run of two; with the colorings and histograms it keeps,
-#: ``refine`` peaks at about 0.5 GB and ``compare`` at about 0.8 GB.
+#: allocation whatever the node cap. Near the limit (3wl on G(101, 0.3)) the
+#: rounds alone peak at about 200 MiB RSS for one graph and 330 MiB for a
+#: joint run of two. The library functions keep more: :func:`refine` with
+#: its colorings peaks at about 610 MiB and :func:`compare` with its
+#: histograms at about 850 MiB. The CLI commands keep neither: ``ncwl
+#: refine`` peaks at about 280 MiB and ``ncwl compare`` at about 360 MiB.
 MAX_TUPLE_ENTITIES = 2**20
 
 VERDICT_DISTINGUISHED = "distinguished"
@@ -135,7 +143,11 @@ def _histogram(colors: Sequence[int]) -> Histogram:
     Counts by ``np.bincount``, so the colors must be dense ids: the count
     array spans every value up to the largest color.
     """
-    counts = np.bincount(np.asarray(colors, dtype=np.int64))
+    return _nonzero_counts(np.bincount(np.asarray(colors, dtype=np.int64)))
+
+
+def _nonzero_counts(counts: np.ndarray) -> Histogram:
+    """The (color, count) pairs of the nonzero entries of a bincount."""
     present = np.flatnonzero(counts)
     return tuple(zip(present.tolist(), counts[present].tolist()))
 
@@ -226,10 +238,12 @@ def _dense_ids(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     m = keys.shape[1]
     order = np.lexsort(keys)
-    ranked = keys[:, order]
-    starts = np.empty(m, dtype=bool)
+    # one sorted key row at a time: a copy of all the keys would double them
+    starts = np.zeros(m, dtype=bool)
     starts[:1] = True
-    (ranked[:, 1:] != ranked[:, :-1]).any(axis=0, out=starts[1:])
+    for row in keys:
+        ranked = row[order]
+        starts[1:] |= ranked[1:] != ranked[:-1]
     # lexsort is stable, so each group's first sorted column is its first occurrence
     first = order[starts]
     by_first = first.argsort()
@@ -490,12 +504,13 @@ _SORT_MIN_NODES = 32
 def _universes(method: str, graphs: Sequence[Graph], node_cap: int | None):
     """The round step of one joint run over ``graphs`` by ``method``.
 
-    Returns the step for :func:`_rounds` and the entity count of the first
-    graph. Every method relabels by sorting: the node methods over the
-    width classes of the disjoint union (:func:`_node_round`), the tuple
-    methods over each graph's tuples (:func:`_sort_round`), after checking
-    the node cap (default ``KWL_NODE_CAPS[k]``) and
-    :data:`MAX_TUPLE_ENTITIES` on every graph before allocating anything.
+    Returns the step for :func:`_rounds` and each graph's entity count, in
+    the order of ``graphs``, which is their order in the colors. Every
+    method relabels by sorting: the node methods over the width classes of
+    the disjoint union (:func:`_node_round`), the tuple methods over each
+    graph's tuples (:func:`_sort_round`), after checking the node cap
+    (default ``KWL_NODE_CAPS[k]``) and :data:`MAX_TUPLE_ENTITIES` on every
+    graph before allocating anything.
     Node-method runs on fewer than :data:`_SORT_MIN_NODES` nodes intern
     instead, which is faster there; otherwise the interning steps serve only
     as the tests' reference.
@@ -507,7 +522,7 @@ def _universes(method: str, graphs: Sequence[Graph], node_cap: int | None):
             step = partial(_intern_round, [_NodeUniverse(g, with_neighbor_edges)])
         else:
             step = partial(_node_round, _width_classes(g, with_neighbor_edges), g.labels)
-        return step, graphs[0].node_count
+        return step, [g.node_count for g in graphs]
     if method not in ("2wl", "3wl"):
         raise ValueError(f"unknown method {method!r}")
     k = int(method[0])
@@ -522,7 +537,34 @@ def _universes(method: str, graphs: Sequence[Graph], node_cap: int | None):
                 f"{g.node_count}**{k} = {g.node_count**k} tuples exceed the limit of "
                 f"{MAX_TUPLE_ENTITIES}"
             )
-    return partial(_sort_round, graphs, k), graphs[0].node_count**k
+    return partial(_sort_round, graphs, k), [g.node_count**k for g in graphs]
+
+
+def _counted_rounds(
+    method: str, graphs: Sequence[Graph], node_cap: int | None
+) -> Iterator[tuple[np.ndarray, list[np.ndarray]]]:
+    """The rounds of one joint run, each with every graph's color counts.
+
+    Yields per iteration the int64 colors over all graphs' entities (see
+    :func:`_universes`) and, per graph, ``np.bincount`` of its own colors
+    with ``minlength`` the round's class count, so two graphs' histograms
+    are equal iff their counts are equal arrays. Raises ValueError for a
+    round whose colors are not the dense ids 0..num_classes-1, as
+    :meth:`Coloring.from_colors` does: bincount refuses a negative color,
+    and a gap or a color past the entity count leaves a class empty.
+    """
+    step, sizes = _universes(method, graphs, node_cap)
+    bounds = list(accumulate(sizes, initial=0))
+    for colors in _rounds(step):
+        rest = np.bincount(colors)
+        if not rest.all():
+            raise ValueError(f"colors must be dense ids in 0..{len(rest) - 1}")
+        # every graph's counts but the last's; the last's are what remains
+        counts = []
+        for lo, hi in zip(bounds, bounds[1:-1]):
+            counts.append(np.bincount(colors[lo:hi], minlength=len(rest)))
+            rest -= counts[-1]
+        yield colors, [*counts, rest]
 
 
 def refine(g: Graph, method: str, node_cap: int | None = None) -> list[Coloring]:
@@ -533,8 +575,10 @@ def refine(g: Graph, method: str, node_cap: int | None = None) -> list[Coloring]
     ValueError above it. Tuple colors are reported over all node_count**k
     tuples in row-major order. Colorings hold Python ints.
     """
-    step, _ = _universes(method, [g], node_cap)
-    return [Coloring.from_colors(c.tolist()) for c in _rounds(step)]
+    return [
+        Coloring(tuple(colors.tolist()), len(counts), tuple(enumerate(counts.tolist())))
+        for colors, (counts,) in _counted_rounds(method, [g], node_cap)
+    ]
 
 
 def refine_1wl(g: Graph) -> list[Coloring]:
@@ -567,10 +611,9 @@ def compare(g1: Graph, g2: Graph, method: str, node_cap: int | None = None) -> R
     round, so graphs with different node counts are distinguished at
     iteration 0.
     """
-    step, split = _universes(method, [g1, g2], node_cap)
     hists = []
-    for it, colors in enumerate(_rounds(step)):
-        pair = (_histogram(colors[:split]), _histogram(colors[split:]))
+    for it, (_, counts) in enumerate(_counted_rounds(method, [g1, g2], node_cap)):
+        pair = (_nonzero_counts(counts[0]), _nonzero_counts(counts[1]))
         hists.append(pair)
         if pair[0] != pair[1]:
             return RefinementReport(method, VERDICT_DISTINGUISHED, it, it, tuple(hists))

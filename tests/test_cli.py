@@ -3,6 +3,7 @@ from __future__ import annotations
 import contextlib
 import io
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -25,14 +26,18 @@ from ncwl import (
     disjoint_union,
     parse_edge_list,
     path_graph,
+    permute_graph,
+    random_gnp,
     serialize_edge_list,
     wheel_graph,
 )
+from ncwl import compare as ncwl_compare
+from ncwl import refine as ncwl_refine
 from ncwl.cli import main
 from ncwl.graph import MAX_NODE_COUNT
 from ncwl.refine import MAX_TUPLE_ENTITIES
 
-from conftest import graphs
+from conftest import graphs, permutations_of
 
 
 def run_cli(*args: str):
@@ -104,8 +109,6 @@ class TestCompareCommand:
         assert res.stdout.startswith("NOT-DISTINGUISHED")
 
     def test_isomorphic_pair_under_3wl_exit_0(self, tmp_path):
-        from ncwl import permute_graph
-
         k3 = complete_graph(3, [0, 1, 2])
         a, b = tmp_path / "k3.txt", tmp_path / "k3p.txt"
         a.write_text(serialize_edge_list(k3))
@@ -361,24 +364,122 @@ def test_header_node_count_over_limit_exits_2(tmp_path):
     assert "Traceback" not in res.stderr
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
-@pytest.mark.parametrize("command, bound_mib", [("stats", 256), ("refine", 448)])
-def test_two_line_file_at_the_node_limit(tmp_path, command, bound_mib):
-    # about 195 and 395 MiB at the time of writing, 361 and 460 MiB while
-    # graphs were built as Python lists
-    path = tmp_path / "g.txt"
-    path.write_text(f"{MAX_NODE_COUNT} 0\n")
+def peak_rss_mib(tmp_path, *args: str) -> tuple[int, str, float]:
+    """Exit code, stderr and peak RSS in MiB of one CLI launch (Linux units)."""
     err = tmp_path / "stderr.txt"
     with err.open("w") as sink:
         proc = subprocess.Popen(
-            [sys.executable, "-m", "ncwl", command, str(path)],
-            stdout=subprocess.DEVNULL,
-            stderr=sink,
+            [sys.executable, "-m", "ncwl", *args], stdout=subprocess.DEVNULL, stderr=sink
         )
         _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    assert proc.returncode == 0, err.read_text()
-    assert usage.ru_maxrss < bound_mib * 1024
+    return os.waitstatus_to_exitcode(status), err.read_text(), usage.ru_maxrss / 1024
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+@pytest.mark.parametrize("command, bound_mib", [("stats", 256), ("refine", 384)])
+def test_two_line_file_at_the_node_limit(tmp_path, command, bound_mib):
+    # about 195 and 359 MiB at the time of writing; refine peaked at 391 MiB
+    # while it kept every round as a Coloring
+    path = tmp_path / "g.txt"
+    path.write_text(f"{MAX_NODE_COUNT} 0\n")
+    code, err, peak = peak_rss_mib(tmp_path, command, str(path))
+    assert code == 0, err
+    assert peak < bound_mib
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+def test_3wl_compare_at_the_tuple_limit_keeps_no_histograms(tmp_path):
+    # about 360 MiB at the time of writing, 822 MiB while the command kept
+    # every round's histograms in a RefinementReport
+    rng = random.Random("3wl-compare-peak")
+    g = random_gnp(rng, 101, 0.3, 1)
+    perm = list(range(101))
+    rng.shuffle(perm)
+    paths = [tmp_path / "g.txt", tmp_path / "twin.txt"]
+    for path, graph in zip(paths, (g, permute_graph(g, perm))):
+        path.write_text(serialize_edge_list(graph))
+    argv = ["compare", *map(str, paths), "--method", "3wl", "--k-cap", "101"]
+    code, err, peak = peak_rss_mib(tmp_path, *argv)
+    assert code == 0, err
+    assert peak < 512
+
+
+def coloring_stdout(colorings, fmt: str) -> str:
+    """The ``refine`` output formatted from the Colorings of :func:`ncwl.refine`."""
+    lines = []
+    for it, c in enumerate(colorings):
+        hist = ",".join(f"{color}:{k}" for color, k in c.histogram) if c.histogram else "-"
+        if fmt == "tsv":
+            lines.append(f"{it}\t{c.num_classes}\t{hist}")
+        else:
+            lines.append(f"iteration {it}: classes={c.num_classes} histogram={hist}")
+    if fmt != "tsv":
+        lines.append(f"converged after {len(colorings) - 1} iterations")
+    return "".join(f"{line}\n" for line in lines)
+
+
+def report_stdout(report, fmt: str) -> tuple[int, str]:
+    """The ``compare`` exit code and output formatted from a RefinementReport."""
+    sep = "\t" if fmt == "tsv" else " "
+    if report.distinguished:
+        return 1, f"DISTINGUISHED{sep}iter={report.distinguishing_iteration}\n"
+    return 0, f"NOT-DISTINGUISHED{sep}iters={report.iterations_run}\n"
+
+
+def assert_cli_matches_library(g1, g2, method: str) -> str:
+    """The streamed ``refine`` of g1 and ``compare`` of (g1, g2) print what the
+    library's Colorings and RefinementReport give; returns the verdict line."""
+    colorings, report = ncwl_refine(g1, method), ncwl_compare(g1, g2, method)
+    with tempfile.TemporaryDirectory() as root:
+        paths = [str(Path(root) / "a.txt"), str(Path(root) / "b.txt")]
+        for path, g in zip(paths, (g1, g2)):
+            Path(path).write_text(serialize_edge_list(g))
+        for fmt in ("human", "tsv"):
+            for argv, expected in (
+                (["refine", paths[0]], (0, coloring_stdout(colorings, fmt))),
+                (["compare", *paths], report_stdout(report, fmt)),
+            ):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    code = main([*argv, "--method", method, "--format", fmt])
+                assert (code, out.getvalue()) == expected, argv
+    return report_stdout(report, "tsv")[1].strip()
+
+
+def wide(g):
+    """Eight copies of g: past the node count where 1wl and nc1wl sort."""
+    for _ in range(3):
+        g = disjoint_union(g, g)[0]
+    return g
+
+
+TWO_TRIANGLES = disjoint_union(complete_graph(3), complete_graph(3))[0]
+# the degrees of P6; 1wl tells them apart by the neighbors' degrees
+TRIANGLE_AND_P3 = disjoint_union(complete_graph(3), path_graph(3))[0]
+
+
+@pytest.mark.parametrize(
+    "g1, g2, method, verdict",
+    [
+        *((path_graph(0), path_graph(0), m, "NOT-DISTINGUISHED\titers=0") for m in METHODS),
+        *((path_graph(2), path_graph(3), m, "DISTINGUISHED\titer=0") for m in METHODS),
+        (cycle_graph(6), TWO_TRIANGLES, "1wl", "NOT-DISTINGUISHED\titers=1"),
+        (cycle_graph(6), TWO_TRIANGLES, "nc1wl", "DISTINGUISHED\titer=1"),
+        (path_graph(6), TRIANGLE_AND_P3, "1wl", "DISTINGUISHED\titer=2"),
+        (wide(cycle_graph(6)), wide(TWO_TRIANGLES), "nc1wl", "DISTINGUISHED\titer=1"),
+        (wide(path_graph(5)), wide(path_graph(5)), "1wl", "NOT-DISTINGUISHED\titers=3"),
+    ],
+)
+def test_streamed_cli_on_pairs_split_at_each_round(g1, g2, method, verdict):
+    assert assert_cli_matches_library(g1, g2, method) == verdict
+
+
+@given(graphs(max_nodes=7, max_labels=2), st.data(), st.sampled_from(METHODS))
+@settings(max_examples=60, deadline=None)
+def test_streamed_cli_matches_the_library(g1, data, method):
+    twin = permutations_of(g1.node_count).map(lambda perm: permute_graph(g1, perm))
+    g2 = data.draw(st.one_of(twin, graphs(max_nodes=7, max_labels=2)))
+    assert_cli_matches_library(g1, g2, method)
 
 
 @st.composite

@@ -118,7 +118,7 @@ def test_cli_hooks_resolve_after_importing_the_cli_alone(tmp_path):
     script = """
 import contextlib, io, sys
 import ncwl.cli
-hooks = {"parse_edge_list": "ncwl.graph", "refine": "ncwl.refine"}
+hooks = {"parse_edge_list": "ncwl.graph", "_counted_rounds": "ncwl.refine"}
 for name, home in hooks.items():
     assert getattr(ncwl.cli, name) is getattr(sys.modules[home], name), name
 calls = []
@@ -128,8 +128,12 @@ for name in hooks:
     setattr(ncwl.cli, name, wrap(name, getattr(ncwl.cli, name)))
 with contextlib.redirect_stdout(io.StringIO()) as out:
     assert ncwl.cli.main(["refine", sys.argv[1], "--method", "nc1wl"]) == 0
-assert calls == ["parse_edge_list", "refine"], calls
-assert out.getvalue().startswith("iteration 0: classes=1"), out.getvalue()
+    assert calls == ["parse_edge_list", "_counted_rounds"], calls
+    assert ncwl.cli.main(["compare", sys.argv[1], sys.argv[1], "--method", "3wl"]) == 0
+assert calls[2:] == ["parse_edge_list", "parse_edge_list", "_counted_rounds"], calls
+lines = out.getvalue().splitlines()
+assert lines[0] == "iteration 0: classes=1 histogram=0:3", lines
+assert lines[-1] == "NOT-DISTINGUISHED iters=1", lines
 """
     res = python(script, str(path))
     assert res.returncode == 0, res.stderr

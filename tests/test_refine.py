@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import sys
 import tracemalloc
 from collections import Counter
 from functools import partial
@@ -492,6 +493,28 @@ def test_from_colors_rejects_colors_that_are_not_dense_ids(colors):
     # bincount would allocate one slot per value up to the largest color
     with pytest.raises(ValueError, match="dense ids"):
         Coloring.from_colors(colors)
+
+
+@pytest.mark.parametrize(
+    "colors, message",
+    [([0, 2, 0], "dense ids"), ([-1, 0, 0], "negative"), ([0, 3, 1], "dense ids")],
+)
+def test_a_round_that_is_not_dense_ids_raises(monkeypatch, colors, message):
+    """The stream under refine, compare and the CLI checks every round's ids.
+
+    Doubled for compare, [0, 3, 1] is below the entity count and leaves
+    class 2 empty in the joint run.
+    """
+
+    def universes(method, graph_list, node_cap):
+        joint = np.array(colors * len(graph_list), dtype=np.int64)
+        return (lambda _: joint), [3] * len(graph_list)
+
+    monkeypatch.setattr(sys.modules["ncwl.refine"], "_universes", universes)
+    with pytest.raises(ValueError, match=message):
+        refine(path_graph(3), "1wl")
+    with pytest.raises(ValueError, match=message):
+        compare(path_graph(3), path_graph(3), "1wl")
 
 
 def test_from_colors_keeps_dense_ids():
