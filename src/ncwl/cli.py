@@ -4,13 +4,16 @@ Exit codes: 0 success (for ``compare``: not distinguished), 1 the graphs
 were distinguished (``compare``) or a suite check failed, 2 usage or input
 errors. All commands are deterministic given identical flags, inputs, and
 seed. The engines are sequential; the WL_NO_PARALLEL environment variable
-is ignored.
+is ignored. :func:`main` sets ``OPENBLAS_NUM_THREADS=1`` unless the variable
+is set, before any command loads numpy, so OpenBLAS starts no worker thread
+to compete with them; ``gnn-embed`` prints the same bytes at one and two.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from importlib import import_module
 from pathlib import Path
@@ -317,6 +320,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # The engines are sequential, so OpenBLAS's worker thread only spins
+    # against them; numpy reads this once, when the first command loads it.
+    # A value the user set stays.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

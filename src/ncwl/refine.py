@@ -23,7 +23,13 @@ across rounds cannot merge classes.
   the other k-1 coordinates: each round sorts the colors of every fiber
   (the n tuples differing only at one position), gives equal sorted fibers
   equal ids by one sort, and then relabels the (k+1)-integer rows of own
-  color and fiber id per position the same way.
+  color and fiber id per position the same way. Consecutive graphs with
+  equal node counts form one stack of tuple cubes, so a round sorts each
+  position's fibers of the whole stack in one call (:func:`_sort_round`).
+
+"One sort" is :func:`_dense_ids`: it packs each key column into one int64
+code, exactly (falling back to dense ranks where the digits would
+overflow), and groups equal codes by one ``np.argsort``.
 
 The ids equal those a fresh interner gives the canonical signature tuples
 (multisets sorted, pairs as (min, max)), bit for bit. The node methods
@@ -48,16 +54,18 @@ methods on their disjoint union, the tuple methods in the same sorts),
 comparing the color histograms before every refinement round and
 reporting the first differing round, exactly as an isomorphism-test loop.
 Where only the verdicts of many pairs are wanted, as in the self-check
-suite, :func:`_verdicts` gives the node methods one joint run over the
-union of every graph of a chunk of pairs and reads each pair's verdict
-off the final colors.
+suite, :func:`_verdicts` judges every method in joint runs over many pairs
+and reads each pair's verdict off the final colors: the node methods over
+the union of every graph of a chunk of pairs, the tuple methods over one
+stack per node count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate
+from itertools import accumulate, groupby
+from operator import attrgetter
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -79,11 +87,13 @@ KWL_NODE_CAPS = {2: 181, 3: 32}
 
 #: Largest tuple universe (node_count**k) of one graph, checked before any
 #: allocation whatever the node cap. Near the limit (3wl on G(101, 0.3)) the
-#: rounds alone peak at about 200 MiB RSS for one graph and 330 MiB for a
+#: rounds alone peak at about 160 MiB RSS for one graph and 260 MiB for a
 #: joint run of two. The library functions keep more: :func:`refine` with
-#: its colorings peaks at about 610 MiB and :func:`compare` with its
-#: histograms at about 850 MiB. The CLI commands keep neither: ``ncwl
-#: refine`` peaks at about 280 MiB and ``ncwl compare`` at about 360 MiB.
+#: its colorings peaks at about 570 MiB and :func:`compare` with its
+#: histograms at about 760 MiB. The CLI commands keep neither: ``ncwl
+#: refine`` peaks at about 240 MiB and ``ncwl compare`` at about 280 MiB.
+#: A joint verdict run (:func:`_verdicts`) holds at most this many tuples
+#: unless it holds a single pair.
 MAX_TUPLE_ENTITIES = 2**20
 
 VERDICT_DISTINGUISHED = "distinguished"
@@ -228,6 +238,31 @@ def _intern_round(universes, colors: np.ndarray | None) -> np.ndarray:
     return np.array(new, dtype=np.int64)
 
 
+_INT64_MAX = 2**63 - 1
+
+
+def _groups(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``np.argsort`` of the (non-empty) int64 ``values`` and, per sorted
+    position, whether a run of equal values starts there and the run's index."""
+    order = np.argsort(values)
+    ranked = values[order]
+    starts = np.empty(len(values), dtype=bool)
+    starts[0] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=starts[1:])
+    del ranked
+    group = np.cumsum(starts, dtype=np.int64)
+    group -= 1
+    return order, starts, group
+
+
+def _ranks(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """The dense rank of each of the (non-empty) int64 ``values``, and the rank count."""
+    order, _, group = _groups(values)
+    ranks = np.empty_like(group)
+    ranks[order] = group
+    return ranks, int(group[-1]) + 1
+
+
 def _dense_ids(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ids of the columns of the int64 ``keys`` (one row per key component).
 
@@ -235,22 +270,41 @@ def _dense_ids(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     0, 1, ... in the order of their first occurrence: the ids a fresh
     interner gives when fed the columns in order. Also returns the column
     where each id first occurs.
+
+    Each column is packed into one int64 code, one mixed-radix digit per
+    row in the radix of the row's span. When the next digit would overflow,
+    the code so far is replaced by its dense rank (and a row too wide for
+    even that by its own ranks), which keeps the codes exact for any int64
+    keys. One ``np.argsort`` of the codes then groups equal columns. Against
+    ``np.lexsort`` of the rows, on the calls' own keys (2 vCPUs): the joint
+    runs of 200 suite pairs 10 vs 13 ms under 2wl and 37 vs 92 ms under
+    3wl, the benchmark's kwl-tuples 3wl ``compare`` 12 vs 32 ms, and its
+    tri-dense nc1wl ``refine`` 10-15 vs 18 ms.
     """
     m = keys.shape[1]
-    order = np.lexsort(keys)
-    # one sorted key row at a time: a copy of all the keys would double them
-    starts = np.zeros(m, dtype=bool)
-    starts[:1] = True
-    for row in keys:
-        ranked = row[order]
-        starts[1:] |= ranked[1:] != ranked[:-1]
-    # lexsort is stable, so each group's first sorted column is its first occurrence
-    first = order[starts]
+    if m == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.intp)
+    code, bound = np.zeros(m, dtype=np.int64), 1
+    for row, lo, hi in zip(keys, keys.min(axis=1).tolist(), keys.max(axis=1).tolist()):
+        span = hi - lo + 1
+        if bound * span > _INT64_MAX:
+            code, bound = _ranks(code)
+            if bound * span > _INT64_MAX:
+                row, span = _ranks(row)
+        # The codes lie in a window of bound consecutive integers modulo
+        # 2**64 and the row in one of span, so code * span + row is
+        # injective on them however int64 wraps: no shift by the minimum.
+        code *= span
+        code += row
+        bound *= span
+    order, starts, group = _groups(code)
+    del code
+    first = np.minimum.reduceat(order, np.flatnonzero(starts))
     by_first = first.argsort()
     rank = np.empty(len(first), dtype=np.int64)
     rank[by_first] = np.arange(len(first))
     ids = np.empty(m, dtype=np.int64)
-    ids[order] = rank[starts.cumsum() - 1]
+    ids[order] = rank[group]
     return ids, first[by_first]
 
 
@@ -395,51 +449,67 @@ def _node_round(
     return new
 
 
-#: Per k, the axis orders that move tuple position i last, for i = 0..k-1.
+#: Per k, the axis orders of a stack of k-tuple cubes that keep the stack
+#: axis first and move tuple position i last, for i = 0..k-1.
 _FIBER_AXES = {
-    k: [tuple(j for j in range(k) if j != i) + (i,) for i in range(k)] for k in (2, 3)
+    k: [(0,) + tuple(1 + j for j in range(k) if j != i) + (1 + i,) for i in range(k)]
+    for k in (2, 3)
 }
+
+
+def _stacks(graphs: Sequence[Graph]) -> list[tuple[int, list[Graph]]]:
+    """The runs of consecutive ``graphs`` with equal node counts, as (node count, graphs)."""
+    return [(n, list(run)) for n, run in groupby(graphs, key=attrgetter("node_count"))]
+
+
+def _joined(arrays: list[np.ndarray], axis: int) -> np.ndarray:
+    """``np.concatenate`` that returns a single array as it is, without a copy."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=axis)
 
 
 def _sort_round(graphs: Sequence[Graph], k: int, colors: np.ndarray | None) -> np.ndarray:
     """One synchronized k-tuple round over all graphs by sorting.
 
     Entities are each graph's node_count**k tuples in row-major order,
-    graphs concatenated; the ids equal :func:`_intern_round`'s over one
-    interning tuple universe (kept with the tests) per graph.
+    graphs concatenated. Consecutive graphs with equal node counts form one
+    stack, a (graphs, n, ..., n) array, whose fibers along one tuple
+    position are sorted by one ``np.sort`` for the whole stack. Fibers of
+    different stacks are padded on the left with -1 to the widest, which
+    only a run over graphs of different sizes has. The ids equal
+    :func:`_intern_round`'s over one interning tuple universe (kept with
+    the tests) per graph.
     """
     if colors is None:
         return _dense_ids(_atomic_type_keys(graphs, k))[0]
-    width = max(g.node_count for g in graphs)
+    stacks = [(n, len(run)) for n, run in _stacks(graphs) if n]
+    if not stacks:
+        return colors
+    width = max(n for n, _ in stacks)
     cubes, fibers = [], []
     off = 0
-    for g in graphs:
-        n = g.node_count
-        if n == 0:
-            continue
-        cube = colors[off : off + n**k].reshape((n,) * k)
-        off += n**k
+    for n, count in stacks:
+        cube = colors[off : off + count * n**k].reshape((count,) + (n,) * k)
+        off += count * n**k
         cubes.append(cube)
         for axes in _FIBER_AXES[k]:
-            fiber = np.full((n ** (k - 1), width), -1, dtype=np.int64)
-            # colors are non-negative, so fibers of different lengths never match
-            fiber[:, width - n :] = np.sort(cube.transpose(axes).reshape(-1, n), axis=1)
+            fiber = np.sort(cube.transpose(axes).reshape(-1, n), axis=-1)
+            if n < width:
+                # colors are non-negative, so fibers of different lengths never match
+                fiber = np.concatenate([np.full((len(fiber), width - n), -1), fiber], axis=1)
             fibers.append(fiber)
-    if not cubes:
-        return colors
-    fiber_ids = _dense_ids(np.concatenate(fibers).T)[0]
+    fiber_ids = _dense_ids(_joined(fibers, 0).T)[0]
     rows, start = [], 0
     for cube in cubes:
-        n = cube.shape[0]
+        count, n = cube.shape[:2]
         row = np.empty((k + 1,) + cube.shape, dtype=np.int64)
         row[0] = cube
         for i in range(k):
-            # fiber i's ids broadcast along axis i
-            shape = (n,) * i + (1,) + (n,) * (k - 1 - i)
-            row[1 + i] = fiber_ids[start : start + n ** (k - 1)].reshape(shape)
-            start += n ** (k - 1)
+            # fiber i's ids broadcast along position i
+            shape = (count,) + (n,) * i + (1,) + (n,) * (k - 1 - i)
+            row[1 + i] = fiber_ids[start : start + count * n ** (k - 1)].reshape(shape)
+            start += count * n ** (k - 1)
         rows.append(row.reshape(k + 1, -1))
-    return _dense_ids(np.concatenate(rows, axis=1))[0]
+    return _dense_ids(_joined(rows, 1))[0]
 
 
 def _atomic_type_keys(graphs: Sequence[Graph], k: int) -> np.ndarray:
@@ -448,26 +518,30 @@ def _atomic_type_keys(graphs: Sequence[Graph], k: int) -> np.ndarray:
     The rows are the label rank of each position, then one code per
     position pair: 2 for the same node, 1 for adjacent nodes, 0 otherwise.
     Labels are ranked over all graphs in Python, so labels of any size
-    compare exactly.
+    compare exactly. Each stack of graphs with equal node counts sets its
+    adjacency codes by one scatter.
     """
     rank = {lab: r for r, lab in enumerate(sorted({lab for g in graphs for lab in g.labels}))}
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
     blocks = []
-    for g in graphs:
-        n = g.node_count
-        labels = np.array([rank[lab] for lab in g.labels], dtype=np.int64)
-        code = np.zeros((n, n), dtype=np.int64)
-        degrees, neighbors = adjacency_arrays(g)
-        code[np.repeat(np.arange(n), degrees), neighbors] = 1
-        np.fill_diagonal(code, 2)
+    for n, run in _stacks(graphs):
+        count = len(run)
+        labels = np.array([rank[lab] for g in run for lab in g.labels], dtype=np.int64)
+        labels = labels.reshape(count, n)
+        degrees = np.concatenate([adjacency_arrays(g)[0] for g in run])
+        neighbors = np.concatenate([adjacency_arrays(g)[1] for g in run])
+        code = np.zeros((count, n, n), dtype=np.int64)
+        # row (graph, node) of the stack's adjacency, then the neighbor's column
+        code.reshape(-1)[np.repeat(np.arange(count * n), degrees) * n + neighbors] = 1
+        code[:, np.arange(n), np.arange(n)] = 2
         pos = np.indices((n,) * k, sparse=True)
-        block = np.empty((k + len(pairs),) + (n,) * k, dtype=np.int64)
+        block = np.empty((k + len(pairs), count) + (n,) * k, dtype=np.int64)
         for i in range(k):
-            block[i] = labels[pos[i]]
+            block[i] = labels[:, pos[i]]
         for r, (i, j) in enumerate(pairs, start=k):
-            block[r] = code[pos[i], pos[j]]
-        blocks.append(block.reshape(k + len(pairs), n**k))
-    return np.concatenate(blocks, axis=1)
+            block[r] = code[:, pos[i], pos[j]]
+        blocks.append(block.reshape(k + len(pairs), count * n**k))
+    return _joined(blocks, 1)
 
 
 def _rounds(step: Callable[[np.ndarray | None], np.ndarray]) -> Iterator[np.ndarray]:
@@ -564,7 +638,10 @@ def _counted_rounds(
         for lo, hi in zip(bounds, bounds[1:-1]):
             counts.append(np.bincount(colors[lo:hi], minlength=len(rest)))
             rest -= counts[-1]
-        yield colors, [*counts, rest]
+        counts.append(rest)
+        # the list holds the only references, so a consumer can free each array
+        del rest
+        yield colors, counts
 
 
 def refine(g: Graph, method: str, node_cap: int | None = None) -> list[Coloring]:
@@ -613,47 +690,80 @@ def compare(g1: Graph, g2: Graph, method: str, node_cap: int | None = None) -> R
     """
     hists = []
     for it, (_, counts) in enumerate(_counted_rounds(method, [g1, g2], node_cap)):
-        pair = (_nonzero_counts(counts[0]), _nonzero_counts(counts[1]))
+        # each count array is freed as soon as its histogram exists
+        pair = (_nonzero_counts(counts.pop(0)), _nonzero_counts(counts.pop()))
         hists.append(pair)
         if pair[0] != pair[1]:
             return RefinementReport(method, VERDICT_DISTINGUISHED, it, it, tuple(hists))
     return RefinementReport(method, VERDICT_NOT_DISTINGUISHED, len(hists) - 1, None, tuple(hists))
 
 
-#: Pairs per joint run of :func:`_verdicts`, which bounds the union's node
-#: count whatever the number of pairs. CPU time of the suite's 400 pairs
-#: under 1wl and nc1wl, 2 vCPUs: chunks of 16/64/128/256 pairs took
-#: 66/46/39/36 ms, one ``compare`` per pair 94 ms.
+#: Pairs per chunk of :func:`_verdicts`, which bounds a joint run's size
+#: whatever the number of pairs. CPU time of the suite's 400 pairs, best of
+#: 5, 2 vCPUs, in chunks of 16/64/128/256 pairs against one ``compare`` per
+#: pair: 1wl 18/12/9/8 vs 57 ms, nc1wl 41/27/21/18 vs 99 ms, 2wl
+#: 75/56/34/26 vs 142 ms, 3wl 152/93/105/118 vs 293 ms. A 3wl chunk of the
+#: suite holds at most 256 graphs of 10 nodes, 256000 tuples.
 _VERDICT_CHUNK = 128
 
 
 def _verdicts(pairs: Sequence[tuple[Graph, Graph]], method: str) -> list[bool]:
     """``[compare(g1, g2, method).distinguished for g1, g2 in pairs]``.
 
-    The tuple methods compare pair by pair. The node methods refine the
-    union of every graph of :data:`_VERDICT_CHUNK` pairs in one run, where
-    each graph's colors at every round partition its nodes as the pair's
-    own joint run does. Later colors refine earlier ones, so a histogram
-    gap persists, and a pair whose own run has stabilised never splits
-    later: a pair is split iff its graphs' final color multisets differ.
+    A pair whose graphs differ in node count is split at iteration 0, as
+    ``compare`` reports it, without a run. The other pairs of each
+    :data:`_VERDICT_CHUNK` are refined in joint runs: the node methods over
+    the union of all their graphs, the tuple methods in one run per node
+    count, so that each run is one stack (see :func:`_sort_round`) and
+    holds at most :data:`MAX_TUPLE_ENTITIES` tuples unless it holds a
+    single pair. In a joint run each graph's colors at every round
+    partition its entities as the pair's own run does. Later colors refine
+    earlier ones, so a histogram gap persists, and a pair whose own run has
+    stabilised never splits later: a pair is split iff its graphs' sorted
+    final colors differ. The tuple node caps are checked on the graphs of
+    each run only.
     """
-    if method not in ("1wl", "nc1wl"):
-        return [compare(g1, g2, method).distinguished for g1, g2 in pairs]
-    split = []
-    for start in range(0, len(pairs), _VERDICT_CHUNK):
-        graphs = [g for pair in pairs[start : start + _VERDICT_CHUNK] for g in pair]
-        step, _ = _universes(method, [_union(graphs)], None)
-        for colors in _rounds(step):
-            pass
-        sizes = [g.node_count for g in graphs]
-        owners = np.repeat(np.arange(len(graphs)), sizes)
-        # each graph's final colors, sorted, in the place of its nodes
-        colors = colors[np.lexsort((colors, owners))]
-        bounds = np.cumsum([0] + sizes).tolist()
-        for i in range(0, len(graphs), 2):
-            first, second = colors[bounds[i] : bounds[i + 1]], colors[bounds[i + 1] : bounds[i + 2]]
-            split.append(not np.array_equal(first, second))
+    k = 1 if method in ("1wl", "nc1wl") else int(method[0])
+    split = [g1.node_count != g2.node_count for g1, g2 in pairs]
+    for run in _joint_runs(pairs, k):
+        for i, differ in zip(run, _final_colors_differ(method, k, [pairs[i] for i in run])):
+            split[i] = differ
     return split
+
+
+def _joint_runs(pairs: Sequence[tuple[Graph, Graph]], k: int) -> Iterator[list[int]]:
+    """The indices of the pairs of equal node counts judged in each joint run.
+
+    ``k`` is 1 for the node methods, whose run is a whole chunk.
+    """
+    for start in range(0, len(pairs), _VERDICT_CHUNK):
+        by_size: dict[int, list[int]] = {}
+        for i in range(start, min(start + _VERDICT_CHUNK, len(pairs))):
+            n = pairs[i][0].node_count
+            if n == pairs[i][1].node_count:
+                by_size.setdefault(0 if k == 1 else n, []).append(i)
+        for n, members in by_size.items():
+            per_run = len(members) if k == 1 else max(1, MAX_TUPLE_ENTITIES // max(1, 2 * n**k))
+            for s in range(0, len(members), per_run):
+                yield members[s : s + per_run]
+
+
+def _final_colors_differ(method: str, k: int, pairs: list[tuple[Graph, Graph]]) -> list[bool]:
+    """Per pair of equal node counts, whether its graphs' sorted final colors
+    differ after one joint run of ``method`` over every graph of ``pairs``."""
+    graphs = [g for pair in pairs for g in pair]
+    step, _ = _universes(method, [_union(graphs)] if k == 1 else graphs, None)
+    for colors in _rounds(step):
+        pass
+    sizes = [g.node_count**k for g in graphs]
+    # each graph's final colors, sorted, in the place of its entities
+    shift = np.repeat(np.arange(len(graphs)) * len(colors), sizes)
+    colors = np.sort(colors + shift) - shift
+    bounds = list(accumulate(sizes, initial=0))
+    return [
+        not np.array_equal(colors[lo:mid], colors[mid:hi])
+        for lo, mid, hi in zip(bounds[::2], bounds[1::2], bounds[2::2])
+    ]
 
 
 def brute_force_isomorphic(g1: Graph, g2: Graph, node_cap: int = 10) -> bool:

@@ -5,6 +5,8 @@ package's earlier pure-Python k-tuple engine, kept here unchanged in
 behaviour. :func:`parse_edge_list` and :func:`build` are the package's
 earlier tuple-built parser and ``Graph.build``, returning a graph's tuple
 form ``(node_count, adjacency, edge_set, labels)``.
+:func:`lexsort_dense_ids` is the package's earlier ``_dense_ids``, which
+groups equal key columns by one ``np.lexsort`` of the key rows.
 :func:`merge_neighbor_edges` is the package's earlier neighbor-edge lister,
 the one the compact-forward lister is held to. :func:`check_soundness` and
 :func:`check_hierarchy` are the package's earlier self-checks, which judge
@@ -21,6 +23,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from typing import Hashable, Iterable, Sequence
+
+import numpy as np
 
 from ncwl import (
     METHODS,
@@ -225,6 +229,27 @@ def check_hierarchy(seed: int, pairs: int) -> CheckResult:
             failures.append(f"pair {t}: {problem}")
     detail = "; ".join(failures[:5]) if failures else f"{pairs} random pairs, no violations"
     return CheckResult("hierarchy", not failures, detail)
+
+
+def lexsort_dense_ids(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The earlier ``ncwl.refine._dense_ids``: ids of the columns of ``keys``
+    numbered by first occurrence, and the column where each id first occurs."""
+    m = keys.shape[1]
+    order = np.lexsort(keys)
+    # one sorted key row at a time: a copy of all the keys would double them
+    starts = np.zeros(m, dtype=bool)
+    starts[:1] = True
+    for row in keys:
+        ranked = row[order]
+        starts[1:] |= ranked[1:] != ranked[:-1]
+    # lexsort is stable, so each group's first sorted column is its first occurrence
+    first = order[starts]
+    by_first = first.argsort()
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[by_first] = np.arange(len(first))
+    ids = np.empty(m, dtype=np.int64)
+    ids[order] = rank[starts.cumsum() - 1]
+    return ids, first[by_first]
 
 
 class TupleUniverse:

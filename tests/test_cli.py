@@ -29,6 +29,7 @@ from ncwl import (
     permute_graph,
     random_gnp,
     serialize_edge_list,
+    stats,
     wheel_graph,
 )
 from ncwl import compare as ncwl_compare
@@ -385,6 +386,54 @@ def test_two_line_file_at_the_node_limit(tmp_path, command, bound_mib):
     code, err, peak = peak_rss_mib(tmp_path, command, str(path))
     assert code == 0, err
     assert peak < bound_mib
+
+
+def without_blas_setting(**env: str) -> dict[str, str]:
+    """This process's environment without OPENBLAS_NUM_THREADS, plus ``env``."""
+    return {**{k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}, **env}
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
+@pytest.mark.parametrize("env, threads", [({}, 1), ({"OPENBLAS_NUM_THREADS": "2"}, 2)])
+def test_the_cli_starts_numpy_without_a_blas_worker_unless_asked(files, env, threads):
+    if threads > min(os.cpu_count() or 1, len(os.sched_getaffinity(0))):
+        pytest.skip("OpenBLAS starts no more threads than there are CPUs")
+    script = (
+        "import os, sys\n"
+        "from ncwl.cli import main\n"
+        "main(['stats', sys.argv[1]])\n"
+        "assert 'numpy' in sys.modules\n"
+        "print(len(os.listdir('/proc/self/task')))\n"
+    )
+    res = subprocess.run(
+        [sys.executable, "-c", script, files["k4"]],
+        env=without_blas_setting(**env),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    assert int(res.stdout.split()[-1]) == threads
+
+
+def test_gnn_embed_prints_the_same_bytes_with_one_and_two_blas_threads(tmp_path):
+    # past about 1024 pair rows at dim 16, OpenBLAS splits the pair-term
+    # product over its threads
+    g = random_gnp(random.Random("blas-threads"), 40, 0.5, 2)
+    assert 3 * stats(g).triangle_count >= 1100
+    path = tmp_path / "g.txt"
+    path.write_text(serialize_edge_list(g))
+    outputs = []
+    for threads in ("1", "2"):
+        res = subprocess.run(
+            [sys.executable, "-m", "ncwl", "gnn-embed", str(path), "--dim", "16"],
+            env=without_blas_setting(OPENBLAS_NUM_THREADS=threads),
+            capture_output=True,
+            timeout=120,
+        )
+        assert res.returncode == 0, res.stderr
+        outputs.append(res.stdout)
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")

@@ -8,7 +8,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ncwl import (
@@ -35,6 +35,7 @@ from ncwl import (
 from ncwl.graph import neighbor_edge_arrays
 from ncwl.refine import (
     _SORT_MIN_NODES,
+    _dense_ids,
     _histogram,
     _intern_round,
     _node_round,
@@ -46,7 +47,7 @@ from ncwl.refine import (
 )
 
 from conftest import graphs, permutations_of
-from reference import TupleUniverse
+from reference import TupleUniverse, lexsort_dense_ids
 
 
 def classes_of(coloring):
@@ -216,6 +217,12 @@ class TestCompare:
             assert report.distinguished
             assert report.distinguishing_iteration == 0
 
+    def test_histograms_in_argument_order(self):
+        for method in METHODS:
+            (first, second), = compare(path_graph(2), path_graph(3), method).histograms
+            k = 1 if method in ("1wl", "nc1wl") else int(method[0])
+            assert [sum(count for _, count in h) for h in (first, second)] == [2**k, 3**k]
+
     def test_label_multiset_gap_distinguished_at_zero(self):
         report = compare(path_graph(2, [0, 0]), path_graph(2, [0, 1]), "1wl")
         assert report.distinguishing_iteration == 0
@@ -327,6 +334,8 @@ class TestSortedTupleEngine:
         assert_sorting_matches_interning([g], k)
         assert_sorting_matches_interning([g, h], k)
         assert_sorting_matches_interning([g, other], k)
+        # stacks of several equal-size graphs, next to stacks of other sizes
+        assert_sorting_matches_interning([g, h, g, other, other, h], k)
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_zero_and_one_nodes(self, k):
@@ -354,6 +363,43 @@ class TestSortedTupleEngine:
         for pair in ([complete_graph(3), complete_graph(4)], [path_graph(3), star_graph(3)]):
             rounds = assert_sorting_matches_interning(pair, k)
             assert len(rounds) > 2
+
+
+INT64 = np.iinfo(np.int64)
+
+
+@st.composite
+def key_matrices(draw):
+    """int64 keys of 1-6 rows and 0-24 columns, each row drawn from one pool."""
+    m = draw(st.integers(0, 24))
+    pools = [
+        st.just(5),  # an all-equal row
+        st.sampled_from([-1, 0, 1, 2]),  # the padding sentinel of fibers and rows
+        st.sampled_from([-m - 1, -1, 0, m * m]),  # and the pair-code sentinel -n - 1
+        st.sampled_from([INT64.min, INT64.min + 1, -1, 0, INT64.max]),  # spans past int64
+        st.sampled_from([0, 1, 2**31, 2**40, 2**62]),  # spans whose product forces rank steps
+        st.integers(INT64.min, INT64.max),
+    ]
+    rows = [
+        draw(st.lists(draw(st.sampled_from(pools)), min_size=m, max_size=m))
+        for _ in range(draw(st.integers(1, 6)))
+    ]
+    return np.array(rows, dtype=np.int64).reshape(len(rows), m)
+
+
+@given(key_matrices())
+@example(np.zeros((1, 0), dtype=np.int64))
+@example(np.array([[INT64.min, INT64.max, INT64.min], [INT64.max, INT64.min, INT64.max]]))
+@example(np.array([[0, 2**40, 0, 2**40], [2**40, 0, 2**40, 0], [0, 0, 2**40, 2**40]] * 3))
+@settings(max_examples=300, deadline=None)
+def test_packed_dense_ids_equal_the_lexsort_ids(keys):
+    before = keys.copy()
+    ids, first = _dense_ids(keys)
+    want_ids, want_first = lexsort_dense_ids(keys)
+    assert ids.dtype == np.int64 and first.dtype == want_first.dtype
+    assert np.array_equal(ids, want_ids)
+    assert np.array_equal(first, want_first)
+    assert np.array_equal(keys, before)
 
 
 def assert_node_sorting_matches_interning(graph_list, method):
