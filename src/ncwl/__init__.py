@@ -45,8 +45,8 @@ _EXPORTS = {
         gin_layer_forward_edgefeat init_layer init_mlp nc_gnn_layer_backward
         nc_gnn_layer_forward nc_gnn_layer_forward_edgefeat one_hot_features readout_sum
         stack_layers""",
-    "refine": """KWL_NODE_CAPS Coloring RefinementReport SignatureInterner
-        brute_force_isomorphic compare refine refine_1wl refine_kwl refine_nc1wl""",
+    "refine": """KWL_NODE_CAPS Coloring RefinementReport brute_force_isomorphic compare
+        refine refine_1wl refine_kwl refine_nc1wl""",
 }
 _HOMES = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

@@ -120,7 +120,7 @@ def cmd_union(args) -> int:
     g2 = _read_graph(args.graph2)
     union, offset = disjoint_union(g1, g2)
     print(f"# offset={offset}")
-    sys.stdout.write(serialize_edge_list(union))
+    print(serialize_edge_list(union), end="")
     return 0
 
 
@@ -327,7 +327,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a reader that has gone away shows here, not in the flush at exit;
+        # launched with stdout closed, there is no stdout and print drops output
+        if sys.stdout is not None:
+            sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # nothing more can reach the reader: the exit's flush of what is
+        # still buffered goes to the null device, and stderr stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     # GraphFormatError, CorpusError and CodecError are ValueErrors
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

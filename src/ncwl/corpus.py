@@ -14,7 +14,9 @@ Loading validates the expressiveness hierarchy on the recorded verdicts:
 a pair distinguished by 1wl must be distinguished by nc1wl, a pair
 distinguished by nc1wl must be distinguished by 3wl, the 2wl verdict must
 equal the 1wl verdict, and isomorphic pairs must be distinguished by
-nothing.
+nothing. The self-check suite holds its random pairs' verdicts to the same
+rules, through the same function, with the brute-force oracle in place of
+the recorded ``iso`` field.
 """
 
 from __future__ import annotations
@@ -53,17 +55,26 @@ _VERDICT_CODES = {"d": VERDICT_DISTINGUISHED, "n": VERDICT_NOT_DISTINGUISHED}
 _ISO_CODES = {"t": True, "f": False, "x": None}
 
 
+def _hierarchy_violations(split: dict[str, bool], isomorphic: bool) -> list[str]:
+    """The hierarchy rules that one pair's verdicts (method id -> distinguished)
+    break, in order; ``isomorphic`` says whether the pair is isomorphic."""
+    problems = []
+    if split["1wl"] and not split["nc1wl"]:
+        problems.append("1wl distinguished but nc1wl not")
+    if split["nc1wl"] and not split["3wl"]:
+        problems.append("nc1wl distinguished but 3wl not")
+    if split["2wl"] != split["1wl"]:
+        problems.append("2wl verdict must equal 1wl verdict")
+    if isomorphic and any(split.values()):
+        problems.append("isomorphic pair marked distinguished")
+    return problems
+
+
 def _validate(entry: CorpusEntry) -> None:
-    v = entry.verdicts
-    dist = VERDICT_DISTINGUISHED
-    if v["1wl"] == dist and v["nc1wl"] != dist:
-        raise CorpusError(f"{entry.name}: 1wl distinguished but nc1wl not")
-    if v["nc1wl"] == dist and v["3wl"] != dist:
-        raise CorpusError(f"{entry.name}: nc1wl distinguished but 3wl not")
-    if v["2wl"] != v["1wl"]:
-        raise CorpusError(f"{entry.name}: 2wl verdict must equal 1wl verdict")
-    if entry.oracle_isomorphic is True and any(x == dist for x in v.values()):
-        raise CorpusError(f"{entry.name}: isomorphic pair marked distinguished")
+    split = {m: v == VERDICT_DISTINGUISHED for m, v in entry.verdicts.items()}
+    problems = _hierarchy_violations(split, entry.oracle_isomorphic is True)
+    if problems:
+        raise CorpusError(f"{entry.name}: {problems[0]}")
     if entry.provenance not in PROVENANCES:
         raise CorpusError(f"{entry.name}: unknown provenance {entry.provenance!r}")
 

@@ -17,28 +17,23 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import Graph, disjoint_union, permute_graph
+from .graph import Graph, permute_graph
 from .nn import embed_graph, seeded_rng, stack_layers
-from .refine import refine
+from .refine import _counted_rounds
 
 _VARIANT_METHOD = {"nc": "nc1wl", "gin": "1wl"}
 
 
 def canonical_pair(g1: Graph, g2: Graph, method: str = "nc1wl") -> tuple[Graph, Graph]:
     """Reorder both graphs by the final colors of a joint refinement run."""
-    union, offset = disjoint_union(g1, g2)
-    final = refine(union, method)[-1].colors
-
-    def perm_for(colors) -> list[int]:
-        order = sorted(range(len(colors)), key=lambda v: (colors[v], v))
-        perm = [0] * len(colors)
-        for new_id, old_id in enumerate(order):
-            perm[old_id] = new_id
-        return perm
-
-    p1 = perm_for(final[:offset])
-    p2 = perm_for(final[offset:])
-    return permute_graph(g1, p1), permute_graph(g2, p2)
+    for colors, _ in _counted_rounds(method, [g1, g2], None):
+        pass
+    n = g1.node_count
+    # node v moves to its rank in (final color, v) order
+    return tuple(
+        permute_graph(g, np.argsort(np.argsort(c, kind="stable")).tolist())
+        for g, c in ((g1, colors[:n]), (g2, colors[n:]))
+    )
 
 
 def shared_label_width(g1: Graph, g2: Graph) -> int:

@@ -10,16 +10,17 @@ graphs the two forwards are literally the same computation. Edge-featured
 variants apply a rectifier to (neighbor + edge feature) messages and add
 the edge feature into the pair term.
 
-All row aggregations (neighbor sums, pair-term sums, readout) go through
-one helper that returns the exactly rounded column sum of every group of
-rows, the value ``math.fsum`` returns, so they are independent of summand
-order: layer forwards are bit-exactly permutation-equivariant and the
-readout is bit-exactly permutation-invariant. The helper sums all groups
-at once by a vectorised TwoSum cascade that certifies each result, and
-calls ``math.fsum`` only for entries it cannot certify (zero sums, inf,
-nan, magnitudes that could overflow) and for groups too long to be worth
-a cascade step per row. Everything is pure and deterministic given its
-inputs; nothing here trains.
+All row aggregations (neighbor sums, pair-term sums, readout, and the
+backward's gradient sums over neighbors and neighbor-edges) go through one
+helper that returns the exactly rounded column sum of every group of rows,
+the value ``math.fsum`` returns, so they are independent of summand order:
+layer forwards and the backward's input gradient are bit-exactly
+permutation-equivariant and the readout is bit-exactly
+permutation-invariant. The helper sums all groups at once by a vectorised
+TwoSum cascade that certifies each result, and calls ``math.fsum`` only for
+entries it cannot certify (zero sums, inf, nan, magnitudes that could
+overflow) and for groups too long to be worth a cascade step per row.
+Everything is pure and deterministic given its inputs; nothing here trains.
 """
 
 from __future__ import annotations
@@ -404,18 +405,17 @@ def nc_gnn_layer_backward(
 
     d_base, mlp1_grads = layer.mlp1._backward(mlp1_cache, upstream)
     d_eps = float((d_base * H).sum())
-    d_H = (1.0 + layer.epsilon) * d_base
-    # neighbor-sum term is symmetric: node u receives d_base from each v in N(u)
-    degrees, neighbors = adjacency_arrays(g)
-    ends = np.cumsum(degrees).tolist()
-    for u, d in enumerate(degrees.tolist()):
-        if d:
-            d_H[u] += d_base[neighbors[ends[u] - d : ends[u]]].sum(axis=0)
+    # the neighbor-sum term is symmetric: node u receives d_base from each v in N(u)
+    d_H = (1.0 + layer.epsilon) * d_base + _neighbor_sums(g, d_base)
     if len(u1s):
         d_M = np.repeat(d_base, counts, axis=0)
         d_Y, mlp2_grads = layer.mlp2._backward(mlp2_cache, d_M)
-        np.add.at(d_H, u1s, d_Y)
-        np.add.at(d_H, u2s, d_Y)
+        # node w receives d_Y of every neighbor-edge (u1, u2) with w in {u1, u2}
+        ends = np.concatenate((u1s, u2s))
+        order = np.argsort(ends, kind="stable")
+        d_H = d_H + _grouped_exact_sums(
+            np.concatenate((d_Y, d_Y))[order], np.bincount(ends, minlength=len(H)), H.shape[1]
+        )
     else:
         mlp2_grads = layer.mlp2.zero_grads()
     return d_H, NcGnnLayerGrads(mlp1=mlp1_grads, mlp2=mlp2_grads, epsilon=d_eps)

@@ -102,30 +102,6 @@ VERDICT_NOT_DISTINGUISHED = "not-distinguished"
 Histogram = tuple[tuple[int, int], ...]
 
 
-class SignatureInterner:
-    """Injective map from canonical signatures to dense color ids.
-
-    Shared across both graphs of a joint run so equal signatures receive
-    equal ids. Not thread-safe while interning.
-    """
-
-    __slots__ = ("table",)
-
-    def __init__(self) -> None:
-        self.table: dict = {}
-
-    def intern(self, sig) -> int:
-        table = self.table
-        cid = table.get(sig)
-        if cid is None:
-            cid = len(table)
-            table[sig] = cid
-        return cid
-
-    def __len__(self) -> int:
-        return len(self.table)
-
-
 @dataclass(frozen=True)
 class Coloring:
     """Dense colors over a fixed entity order plus the class histogram."""
@@ -222,18 +198,19 @@ class _NodeUniverse:
 
 
 def _intern_round(universes, colors: np.ndarray | None) -> np.ndarray:
-    """One synchronized round over all universes with a fresh shared interner."""
-    interner = SignatureInterner()
+    """One synchronized round over all universes, interned in one shared dict:
+    a signature's id is the number of distinct signatures before it."""
+    ids: dict = {}
     new: list[int] = []
     if colors is None:
         for u in universes:
-            new.extend(interner.intern(s) for s in u.initial_signatures())
+            new.extend(ids.setdefault(s, len(ids)) for s in u.initial_signatures())
         return np.array(new, dtype=np.int64)
     colors = colors.tolist()  # Python ints index and hash faster than numpy scalars
     off = 0
     for u in universes:
         part = colors[off : off + u.size]
-        new.extend(interner.intern(s) for s in u.iteration_signatures(part))
+        new.extend(ids.setdefault(s, len(ids)) for s in u.iteration_signatures(part))
         off += u.size
     return np.array(new, dtype=np.int64)
 

@@ -10,7 +10,7 @@ import random
 from dataclasses import dataclass
 
 from . import named_stream
-from .corpus import load_corpus
+from .corpus import _hierarchy_violations, load_corpus
 from .graph import Graph, permute_graph, random_gnp, stats
 from .refine import METHODS, brute_force_isomorphic, compare, refine_1wl, refine_nc1wl
 from .refine import _VERDICT_CHUNK, _verdicts
@@ -100,16 +100,7 @@ def _hierarchy_pair(rng: random.Random) -> tuple[Graph, Graph]:
 
 def _hierarchy_problems(g1: Graph, g2: Graph, verdicts: dict[str, bool]) -> list[str]:
     """The hierarchy violations of one pair's verdicts, checked against the oracle."""
-    problems = []
-    if verdicts["1wl"] and not verdicts["nc1wl"]:
-        problems.append("1wl split but nc1wl did not")
-    if verdicts["nc1wl"] and not verdicts["3wl"]:
-        problems.append("nc1wl split but 3wl did not")
-    if verdicts["2wl"] != verdicts["1wl"]:
-        problems.append("2wl verdict differs from 1wl")
-    if brute_force_isomorphic(g1, g2) and any(verdicts.values()):
-        problems.append("a method split an isomorphic pair")
-    return problems
+    return _hierarchy_violations(verdicts, brute_force_isomorphic(g1, g2))
 
 
 def run_hierarchy_trial(rng: random.Random) -> list[str]:

@@ -10,10 +10,14 @@ groups equal key columns by one ``np.lexsort`` of the key rows.
 :func:`merge_neighbor_edges` is the package's earlier neighbor-edge lister,
 the one the compact-forward lister is held to. :func:`check_soundness` and
 :func:`check_hierarchy` are the package's earlier self-checks, which judge
-every pair by its own ``compare`` calls. :func:`encode_multiset`,
-:func:`encode_pairwise`, :func:`encode_centered` and :func:`decode_multiset`
-are the package's earlier codec, which sums one ``Fraction`` per term and
-decodes by a ``Fraction`` divmod per exponent. The node sort engine's
+every pair by its own ``compare`` calls. :func:`canonical_pair` is the
+package's earlier harness ordering, built from every round's ``refine``
+coloring of the disjoint union. :func:`backward_input_gradient` is the
+package's earlier input gradient of the layer backward, summed in order.
+:func:`encode_multiset`, :func:`encode_pairwise`, :func:`encode_centered`
+and :func:`decode_multiset` are the package's earlier codec, which sums
+one ``Fraction`` per term and decodes by a ``Fraction`` divmod per
+exponent. The node sort engine's
 reference, ``ncwl.refine._NodeUniverse``, lives in the package, where it
 also serves runs on small graphs.
 """
@@ -34,10 +38,13 @@ from ncwl import (
     Graph,
     GraphFormatError,
     compare,
+    disjoint_union,
     permute_graph,
     random_gnp,
+    refine,
 )
-from ncwl.graph import MAX_NODE_COUNT
+from ncwl.graph import MAX_NODE_COUNT, adjacency_arrays
+from ncwl.nn import _layer_internals
 from ncwl.suite import CheckResult, named_stream, run_hierarchy_trial
 
 TupleGraph = tuple[int, tuple[tuple[int, ...], ...], frozenset[tuple[int, int]], tuple[int, ...]]
@@ -229,6 +236,52 @@ def check_hierarchy(seed: int, pairs: int) -> CheckResult:
             failures.append(f"pair {t}: {problem}")
     detail = "; ".join(failures[:5]) if failures else f"{pairs} random pairs, no violations"
     return CheckResult("hierarchy", not failures, detail)
+
+
+def canonical_pair(g1: Graph, g2: Graph, method: str = "nc1wl") -> tuple[Graph, Graph]:
+    """The earlier ``harness.canonical_pair``: the last ``refine`` coloring of the
+    disjoint union, each graph's nodes sorted in Python by (color, id)."""
+    union, offset = disjoint_union(g1, g2)
+    final = refine(union, method)[-1].colors
+
+    def perm_for(colors) -> list[int]:
+        order = sorted(range(len(colors)), key=lambda v: (colors[v], v))
+        perm = [0] * len(colors)
+        for new_id, old_id in enumerate(order):
+            perm[old_id] = new_id
+        return perm
+
+    return permute_graph(g1, perm_for(final[:offset])), permute_graph(g2, perm_for(final[offset:]))
+
+
+def _ordered_input_gradient(g: Graph, d_self, d_base, u1s, u2s, d_Y):
+    d_H = d_self.copy()
+    degrees, neighbors = adjacency_arrays(g)
+    ends = np.cumsum(degrees).tolist()
+    for u, d in enumerate(degrees.tolist()):
+        if d:
+            d_H[u] += d_base[neighbors[ends[u] - d : ends[u]]].sum(axis=0)
+    np.add.at(d_H, u1s, d_Y)
+    np.add.at(d_H, u2s, d_Y)
+    return d_H
+
+
+def backward_input_gradient(g: Graph, H: np.ndarray, layer, upstream: np.ndarray):
+    """The earlier input gradient of ``nn.nc_gnn_layer_backward``, summed in
+    order by a loop over nodes and two ``np.add.at``, and the same sums over
+    every summand's absolute value, which bound both versions' rounding."""
+    _, (counts, u1s, u2s, mlp2_cache, mlp1_cache) = _layer_internals(
+        g, H, layer.mlp1, layer.epsilon, layer.mlp2
+    )
+    d_base, _ = layer.mlp1._backward(mlp1_cache, upstream)
+    d_Y = np.zeros((0, H.shape[1]))
+    if len(u1s):
+        d_Y = layer.mlp2._backward(mlp2_cache, np.repeat(d_base, counts, axis=0))[0]
+    d_self = (1.0 + layer.epsilon) * d_base
+    return (
+        _ordered_input_gradient(g, d_self, d_base, u1s, u2s, d_Y),
+        _ordered_input_gradient(g, np.abs(d_self), np.abs(d_base), u1s, u2s, np.abs(d_Y)),
+    )
 
 
 def lexsort_dense_ids(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

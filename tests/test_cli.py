@@ -4,6 +4,7 @@ import contextlib
 import io
 import os
 import random
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -164,6 +165,17 @@ class TestSuiteCommand:
         assert res.returncode == 0, res.stdout + res.stderr
         assert "checks passed" in res.stdout
         assert "FAIL" not in res.stdout
+
+    def test_corpus_pair_over_the_3wl_cap_exits_2(self, tmp_path, capsys):
+        # the corpus check compares every pair; a verdict run (which checks
+        # no cap on pairs of unequal size) would call this pair split, exit 0
+        (tmp_path / "a.txt").write_text(serialize_edge_list(path_graph(33)))
+        (tmp_path / "b.txt").write_text(serialize_edge_list(path_graph(34)))
+        (tmp_path / "manifest.txt").write_text(
+            "p33-p34 | a.txt | b.txt | 1wl=d | nc1wl=d | 2wl=d | 3wl=d | iso=f | prov=derived\n"
+        )
+        assert main(["suite", "--corpus", str(tmp_path), "--random-pairs", "1"]) == 2
+        assert "node count 33 exceeds the 3-tuple cap of 32 nodes" in capsys.readouterr().err
 
     def test_corrupt_corpus_exit_2(self, tmp_path):
         (tmp_path / "manifest.txt").write_text("broken manifest\n")
@@ -363,6 +375,40 @@ def test_header_node_count_over_limit_exits_2(tmp_path):
     assert res.returncode == 2, res.stdout + res.stderr
     assert "line 1: node count 3000000000 exceeds the limit" in res.stderr
     assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize(
+    "argv", [["stats", "k4"], ["compare", "k4", "c6"], ["refine", "w5"]], ids=lambda a: a[0]
+)
+def test_a_reader_that_closed_gets_exit_2_and_a_quiet_stderr(files, argv):
+    # buffered stdout, as behind any pipe unless PYTHONUNBUFFERED is set, fails
+    # only when flushed; at the interpreter's exit that was code 120
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    try:
+        res = subprocess.run(
+            [sys.executable, "-m", "ncwl", argv[0], *(files[name] for name in argv[1:])],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (res.returncode, res.stderr) == (2, b"")
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes stdout with a POSIX shell")
+@pytest.mark.parametrize(
+    "argv, code", [(["stats", "k4"], 0), (["compare", "k4", "c6"], 1), (["union", "k3", "k4"], 0)]
+)
+def test_a_launch_without_stdout_keeps_its_exit_code(files, argv, code):
+    command = [sys.executable, "-m", "ncwl", argv[0], *(files[name] for name in argv[1:])]
+    res = subprocess.run(
+        f"{shlex.join(command)} >&-", shell=True, stderr=subprocess.PIPE, timeout=120
+    )
+    assert (res.returncode, res.stderr) == (code, b"")
 
 
 def peak_rss_mib(tmp_path, *args: str) -> tuple[int, str, float]:

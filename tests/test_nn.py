@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from ncwl import (
     EdgeFeatures,
     Graph,
@@ -23,6 +24,7 @@ from ncwl import (
     gin_layer_forward_edgefeat,
     init_layer,
     init_mlp,
+    load_corpus,
     neighbor_edge_lists,
     nc_gnn_layer_backward,
     nc_gnn_layer_forward,
@@ -426,6 +428,45 @@ class TestBackward:
         assert not grads.mlp2.w1.any() and not grads.mlp2.b1.any()
         assert not grads.mlp2.w2.any() and not grads.mlp2.b2.any()
 
+    @pytest.mark.parametrize("dim", [1, 3, 8])
+    def test_permutation_equivariance_bit_exact(self, dim):
+        # the neighbor and pair gradients are exactly rounded group sums, so
+        # relabeling the graph, H and upstream relabels dH bit for bit
+        rng = random.Random(f"backward-equivariance/{dim}")
+        gen = np.random.default_rng(dim)
+        for t in range(60):
+            n = rng.randint(2, 24)
+            g = random_gnp(rng, n, rng.uniform(0.2, 0.9)) if t % 2 else random_bipartite(rng, n)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            layer = init_layer(gen, dim, dim)
+            H = gen.normal(size=(n, dim))
+            upstream = gen.normal(size=(n, dim))
+            Hp, upstream_p = np.empty_like(H), np.empty_like(upstream)
+            Hp[perm], upstream_p[perm] = H, upstream
+            d_H, _ = nc_gnn_layer_backward(g, H, layer, upstream)
+            d_Hp, _ = nc_gnn_layer_backward(permute_graph(g, perm), Hp, layer, upstream_p)
+            assert np.array_equal(d_Hp[perm], d_H), (t, n)
+
+    def test_input_gradient_is_the_ordered_sums_up_to_rounding(self):
+        rng = random.Random("backward-reference")
+        gen = np.random.default_rng(9)
+        for t in range(40):
+            n = rng.randint(1, 30)
+            g = random_gnp(rng, n, rng.uniform(0.1, 0.9))
+            dim = rng.choice([1, 3, 8])
+            layer = init_layer(gen, dim, dim)
+            H = gen.normal(size=(n, dim))
+            upstream = gen.normal(size=(n, dim))
+            d_H, _ = nc_gnn_layer_backward(g, H, layer, upstream)
+            ordered, magnitude = reference.backward_input_gradient(g, H, layer, upstream)
+            # a node sums at most `terms` summands; each version rounds each
+            # partial sum once, so each is within terms * eps of the exact sum
+            s = stats(g)
+            terms = 1 + s.max_degree + 2 * s.triangle_count
+            bound = 2 * terms * np.finfo(float).eps * magnitude
+            assert np.all(np.abs(d_H - ordered) <= bound), t
+
     def test_upstream_shape_checked(self):
         gen = np.random.default_rng(1)
         layer = init_layer(gen, 2, 3)
@@ -492,6 +533,28 @@ class TestHarness:
         c1, c2 = canonical_pair(g1, g2, "nc1wl")
         # after canonicalization the two graphs are identical node for node
         assert c1 == c2
+
+    @pytest.mark.parametrize("method", ["1wl", "nc1wl"])
+    def test_canonical_pair_equals_the_refine_construction(self, method):
+        pairs = [entry.graphs() for entry in load_corpus()]
+        rng = random.Random(f"canonical-pair/{method}")
+        for _ in range(300):
+            g1 = random_gnp(rng, rng.randint(0, 40), rng.uniform(0.05, 0.6), num_labels=2)
+            if rng.random() < 0.5:
+                perm = list(range(g1.node_count))
+                rng.shuffle(perm)
+                g2 = permute_graph(g1, perm)
+            else:
+                g2 = random_gnp(rng, rng.randint(0, 40), rng.uniform(0.05, 0.6), num_labels=2)
+            pairs.append((g1, g2))
+        for g1, g2 in pairs:
+            # Graph equality compares labels too
+            assert canonical_pair(g1, g2, method) == reference.canonical_pair(g1, g2, method)
+
+    @pytest.mark.parametrize("method", ["2wl", "3wl"])
+    def test_canonical_pair_refuses_tuple_methods(self, method):
+        with pytest.raises(ValueError):
+            canonical_pair(cycle_graph(6), path_graph(6), method)
 
     def test_seeded_rng_streams_differ_and_repeat(self):
         a = seeded_rng(7, "x").normal(size=3)
