@@ -36,6 +36,9 @@ The index comes from compact-forward triangle listing: nodes ranked by
 (degree, id), each edge oriented towards the higher rank, and the wedges
 inside each out-list closed by an oriented edge, tested in blocks of a
 fixed wedge budget. Its time is O(m sqrt(m)) whatever the largest degree.
+One in-place sort of int64 corner codes orders it, in 24 bytes per row:
+about 20 ms for G(700, 19600), 0.7 s for K_300 (13.4M rows) on 2 vCPUs. Above
+:data:`MAX_NEIGHBOR_EDGES` rows it raises ValueError.
 """
 
 from __future__ import annotations
@@ -251,9 +254,8 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """Edges as (u, v) with u < v, lexicographically sorted."""
-        owners = np.repeat(np.arange(self.node_count), self.degrees)
-        upper = owners < self.neighbors
-        return list(zip(owners[upper].tolist(), self.neighbors[upper].tolist()))
+        us, vs = _upper_half(self.degrees, self.neighbors)
+        return list(zip(us.tolist(), vs.tolist()))
 
     def degree(self, v: int) -> int:
         return int(self.degrees[v])
@@ -445,31 +447,53 @@ def neighbor_edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 #: Wedges compact-forward makes and tests at a time, which bounds its
 #: scratch arrays whatever the graph's wedge count. On G(2000, 100000)
-#: (3.1M wedges, 7.6 MB of output) the lister's numpy allocations peak at
-#: 27 MB in blocks of 2**16 and at 121 MB unblocked.
+#: (3.1M wedges, 7.7 MiB of output) the lister's numpy allocations peak at
+#: 13.3 MiB in blocks of 2**16 and at 127 MiB unblocked.
 _WEDGE_BLOCK = 2**16
+
+#: Largest neighbor-edge index (3T rows, one per triangle corner) a graph
+#: may have. nc1wl ``refine`` holds about 64 bytes per row: 853 MiB peak on
+#: K_300 (3T = 13.4M), so about 1.1 GiB at the limit.
+MAX_NEIGHBOR_EDGES = 2**24
 
 
 def _compact_forward(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The arrays behind :func:`neighbor_edge_arrays`, from the triangles of ``g``.
 
-    Every triangle x < y < z that :func:`_forward_triangles` finds gives one
-    row (center, u1, u2) per corner: (x, y, z), (y, x, z) and (z, x, y). One
-    lexsort puts the rows in (v, u1, u2) order. The triangle search is a
-    generator of its own so that its scratch arrays are freed before the
-    rows are built.
+    One in-place sort of the corner codes of :func:`_forward_triangles` puts
+    the rows in (v, u1, u2) order; code // m is the row's v, and code % m
+    indexes the edge tables (u1, u2). Raises ValueError as soon as the rows
+    found pass :data:`MAX_NEIGHBOR_EDGES`.
     """
-    blocks = (np.empty((3, 0), dtype=np.intp), *_forward_triangles(*adjacency_arrays(g)))
-    x, y, z = np.sort(np.concatenate(blocks, axis=1), axis=0)
-    centers = np.concatenate((x, y, z))
-    u1s = np.concatenate((y, x, x))
-    u2s = np.concatenate((z, z, y))
-    by_node = np.lexsort((u2s, u1s, centers))
-    return np.bincount(centers, minlength=g.node_count), u1s[by_node], u2s[by_node]
+    n, m = g.node_count, g.edge_count
+    blocks, total = [np.empty(0, dtype=np.int64)], 0
+    for block in _forward_triangles(*adjacency_arrays(g)):
+        total += len(block)
+        if total > MAX_NEIGHBOR_EDGES:
+            raise ValueError(
+                f"the neighbor-edge index (nodes={n}, edges={m}) "
+                f"exceeds the limit of {MAX_NEIGHBOR_EDGES} rows"
+            )
+        blocks.append(block)
+    codes = np.concatenate(blocks)
+    del blocks
+    codes.sort()
+    counts = np.bincount((codes // m).astype(np.intp, copy=False), minlength=n)
+    codes %= m
+    # made once the blocks are freed, so they do not add to the heap's peak
+    u1s, u2s = _upper_half(*adjacency_arrays(g))
+    return counts, u1s[codes], u2s[codes]
+
+
+def _upper_half(degrees: np.ndarray, neighbors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every edge of the CSR graph once as (u, v), u < v, in (u, v) order."""
+    owners = np.repeat(np.arange(len(degrees)), degrees)
+    upper = owners < neighbors
+    return owners[upper], neighbors[upper]
 
 
 def _forward_triangles(degrees: np.ndarray, neighbors: np.ndarray) -> Iterator[np.ndarray]:
-    """Every triangle of the CSR graph once, as the columns of (3, k) blocks.
+    """Every triangle of the CSR graph once, as blocks of int64 corner codes.
 
     Compact-forward (Chiba and Nishizeki 1985; Latapy 2008): nodes are
     ranked by (degree, id), and every edge is oriented from its lower-ranked
@@ -479,20 +503,25 @@ def _forward_triangles(degrees: np.ndarray, neighbors: np.ndarray) -> Iterator[n
     sqrt(2m), so there are O(m sqrt(m)) wedges, where merging a hub's
     adjacency once per hub edge is quadratic in its degree. Wedges are made
     and tested in blocks of about :data:`_WEDGE_BLOCK`; each block yields
-    the triangles it closed.
+    a code ``center * m + e`` per corner of the triangles it closed, e the
+    opposite edge's index in :func:`_upper_half` (exact: n * m < 2**63 for
+    any graph that fits in memory).
     """
     n = len(degrees)
     order = np.argsort(degrees, kind="stable")  # rank -> node id
     # int64, so the edge keys below (up to n**2) cannot overflow where intp is 32 bits
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
-    tails = rank[np.repeat(np.arange(n), degrees)]
-    heads = rank[neighbors]
-    forward = tails < heads
-    # the oriented edges as sorted keys tail * n + head, in rank space
-    keys = np.sort(tails[forward] * n + heads[forward])
+    tails, heads = (rank[ends] for ends in _upper_half(degrees, neighbors))
+    # the edges oriented by rank as keys tail * n + head; sorted, key i is edge ids[i]
+    keys = np.minimum(tails, heads) * n + np.maximum(tails, heads)
+    ids = np.argsort(keys)
+    keys = keys[ids]
     tails, heads = np.divmod(keys, n)
     m = len(keys)
+    # where the codes of key i's tail and of its head as a center start
+    centers = np.multiply(order, m, dtype=np.int64)
+    tail_codes, head_codes = centers[tails], centers[heads]
     # edge e is the first arm of one wedge per later edge of its tail's out-list
     later = np.cumsum(np.bincount(tails, minlength=n))[tails] - np.arange(1, m + 1)
     wedge_ends = np.cumsum(later)
@@ -506,9 +535,14 @@ def _forward_triangles(degrees: np.ndarray, neighbors: np.ndarray) -> Iterator[n
         first = np.repeat(np.arange(start, stop), arms)
         second = np.repeat(shift[start:stop], arms) + np.arange(done, done + len(first))
         closing = heads[first] * n + heads[second]
-        closed = keys[np.minimum(np.searchsorted(keys, closing), m - 1)] == closing
-        first, second = first[closed], second[closed]
-        yield order[np.stack((tails[first], heads[first], heads[second]))]
+        at = np.searchsorted(keys, closing)
+        closed = keys.take(at, mode="clip") == closing
+        first, second, at = first[closed], second[closed], at[closed]
+        yield np.concatenate((
+            tail_codes[first] + ids[at],
+            head_codes[first] + ids[second],
+            head_codes[second] + ids[first],
+        ))
         start = stop
 
 
@@ -521,12 +555,11 @@ def _neighbor_edge_total(g: Graph, cap: int) -> int:
     storing them.
     """
     degrees, neighbors = adjacency_arrays(g)
-    owners = np.repeat(np.arange(g.node_count), degrees)
-    # every edge twice, once from each end
-    bound = int(np.minimum(degrees[owners], degrees[neighbors]).sum()) // 2 - g.edge_count
+    us, vs = _upper_half(degrees, neighbors)
+    bound = int(np.minimum(degrees[us], degrees[vs]).sum()) - g.edge_count
     if bound <= cap:
         return bound
-    return 3 * sum(block.shape[1] for block in _forward_triangles(degrees, neighbors))
+    return sum(len(block) for block in _forward_triangles(degrees, neighbors))
 
 
 def stats(g: Graph) -> GraphStats:

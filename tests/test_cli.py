@@ -36,7 +36,7 @@ from ncwl import (
 from ncwl import compare as ncwl_compare
 from ncwl import refine as ncwl_refine
 from ncwl.cli import main
-from ncwl.graph import MAX_NODE_COUNT
+from ncwl.graph import MAX_NEIGHBOR_EDGES, MAX_NODE_COUNT
 from ncwl.refine import MAX_TUPLE_ENTITIES
 
 from conftest import graphs, permutations_of
@@ -431,6 +431,34 @@ def test_two_line_file_at_the_node_limit(tmp_path, command, bound_mib):
     path.write_text(f"{MAX_NODE_COUNT} 0\n")
     code, err, peak = peak_rss_mib(tmp_path, command, str(path))
     assert code == 0, err
+    assert peak < bound_mib
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+@pytest.mark.parametrize(
+    "argv, n, code, bound_mib",
+    [
+        (["stats"], 300, 0, 400),
+        (["stats"], 330, 2, 256),
+        (["refine", "--method", "nc1wl"], 330, 2, 256),
+    ],
+)
+def test_dense_graphs_below_and_above_the_neighbor_edge_limit(tmp_path, argv, n, code, bound_mib):
+    # K_300 has 3T = 13.4M neighbor-edges, within the limit, and K_330 17.8M.
+    # At the time of writing stats on K_300 peaked near 342 MiB (866 MiB while
+    # the index lexsorted its rows), and K_330 was refused after about 0.6 s
+    # near 171 MiB
+    rows = n * (n - 1) * (n - 2) // 2
+    assert (rows > MAX_NEIGHBOR_EDGES) == (code == 2)
+    path = tmp_path / "k.txt"
+    path.write_text(serialize_edge_list(complete_graph(n)))
+    exit_code, err, peak = peak_rss_mib(tmp_path, argv[0], str(path), *argv[1:])
+    assert exit_code == code, err
+    if code == 2:
+        assert err == (
+            f"error: the neighbor-edge index (nodes={n}, edges={n * (n - 1) // 2}) "
+            f"exceeds the limit of {MAX_NEIGHBOR_EDGES} rows\n"
+        )
     assert peak < bound_mib
 
 

@@ -318,6 +318,22 @@ class TestNeighborEdgeLister:
             n = rng.randrange(2, 48)
             assert_lister_matches_reference(random_gnp(rng, n, rng.random()))
 
+    @pytest.mark.parametrize("block", [None, 1, 2, 7])
+    def test_blocks_that_close_no_triangle(self, monkeypatch, block):
+        # K_{a,b} has a * b * (a + b - 2) / 2 wedges and no triangle, so m > 0
+        # while every block is empty; isolated top ids end the counts
+        if block is not None:
+            monkeypatch.setattr(ncwl.graph, "_WEDGE_BLOCK", block)
+        for a, b in ((1, 1), (1, 5), (2, 2), (3, 3), (4, 9), (12, 13)):
+            bipartite = [(u, a + v) for u in range(a) for v in range(b)]
+            for extra in (0, 1, 5):
+                assert_lister_matches_reference(Graph.build(a + b + extra, bipartite))
+        rng = random.Random("isolated-tail")
+        for _ in range(10):
+            g = random_gnp(rng, rng.randrange(3, 30), rng.random())
+            padded = Graph.build(g.node_count + rng.randrange(1, 6), g.edges())
+            assert_lister_matches_reference(padded)
+
     def test_hub_of_a_large_wheel_is_not_quadratic(self):
         # the merge lister took 2.7 s on wheel_graph(8000) and did not
         # finish on this one within minutes; compact-forward takes 0.06 s
@@ -330,8 +346,9 @@ class TestNeighborEdgeLister:
         assert counts[0] == 100_000 and (counts[1:] == 2).all()
 
     def test_peak_memory_stays_bounded_by_the_wedge_blocks(self):
-        # the output is about 8 MB; the blocked lister peaks near 27 MB, an
-        # unblocked one (all 3.1M wedges at once) near 121 MB
+        # the output is about 7.7 MiB; the blocked lister peaks near 13.3 MiB
+        # (30.6 MiB while it lexsorted 64-byte rows), an unblocked one (all
+        # 3.1M wedges at once) near 127 MiB
         g = random_gnm(random.Random("lister-memory"), 2000, 100_000)
         adjacency_arrays(g)
         tracemalloc.start()
@@ -342,6 +359,36 @@ class TestNeighborEdgeLister:
             tracemalloc.stop()
         assert int(counts.sum()) % 3 == 0
         assert peak < 64 * 2**20
+
+    def test_peak_memory_per_row_of_a_dense_index(self):
+        # one int64 code per row, sorted in place, then the two edge columns:
+        # about 24.7 bytes per row, where the lexsort of the rows took 64
+        g = complete_graph(120)
+        adjacency_arrays(g)
+        tracemalloc.start()
+        try:
+            counts, _, _ = _compact_forward(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows = int(counts.sum())
+        assert rows == 120 * 119 * 118 // 2
+        assert peak < 32 * rows
+
+    def test_an_index_over_the_limit_is_refused(self, monkeypatch):
+        # K_6 has 3T = 60 rows: built at a limit of 60, refused at 59 by every reader
+        g = complete_graph(6)
+        monkeypatch.setattr(ncwl.graph, "MAX_NEIGHBOR_EDGES", 60)
+        assert int(_compact_forward(g)[0].sum()) == 60
+        monkeypatch.setattr(ncwl.graph, "MAX_NEIGHBOR_EDGES", 59)
+        layers = stack_layers(seeded_rng(0, "index-limit"), 1, 4, 1)
+        calls = (lambda: stats(g), lambda: refine_nc1wl(g), lambda: embed_graph(g, layers, 1))
+        for call in calls:
+            with pytest.raises(ValueError, match=r"\(nodes=6, edges=15\) exceeds the limit of 59"):
+                call()
+        # compare indexes the union of the pair
+        with pytest.raises(ValueError, match=r"\(nodes=12, edges=30\) exceeds the limit of 59"):
+            compare(g, complete_graph(6), "nc1wl")
 
 
 def test_no_tuple_view_is_built_on_graphs_the_engines_sort(monkeypatch, tmp_path):
