@@ -24,8 +24,7 @@ Graphs are immutable after construction and safe to share across threads.
 What is derived from the arrays is computed lazily on first use, once, and
 cached on the graph; every later reader shares that copy:
 
-* the tuple views ``Graph.adjacency`` and ``Graph.edge_set`` (a graph the
-  validator accepted after the arrays refused it keeps the views it made);
+* the tuple views ``Graph.adjacency`` and ``Graph.edge_set``;
 * the neighbor-edge index (the edges inside every node's neighborhood, one
   per triangle corner), as read-only arrays (:func:`neighbor_edge_arrays`);
 * the tuple-of-tuples view of the index (:func:`neighbor_edge_lists`).
@@ -212,16 +211,15 @@ class Graph:
         if csr is not None:
             return cls(node_count, _checked_labels(node_count, labels), *csr)
         # the validator raises at the first bad edge, or accepts ids the arrays
-        # refuse (floats, bools), and the graph keeps the views it made of them
+        # refuse (numpy unsigned ints, bools), whose views are then remade
+        # from the arrays as for any other graph
         adjacency, edge_set = _checked_adjacency(node_count, edges)
         labels = _checked_labels(node_count, labels)
         degrees = np.fromiter(map(len, adjacency), dtype=np.intp, count=node_count)
         neighbors = np.fromiter(
             chain.from_iterable(adjacency), dtype=np.intp, count=2 * len(edge_set)
         )
-        g = cls(node_count, labels, _frozen(degrees), _frozen(neighbors))
-        g.__dict__.update(adjacency=adjacency, edge_set=edge_set)
-        return g
+        return cls(node_count, labels, _frozen(degrees), _frozen(neighbors))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:

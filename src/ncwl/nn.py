@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, adjacency_arrays, neighbor_edge_arrays
+from .graph import Graph, _upper_half, adjacency_arrays, neighbor_edge_arrays
 
 
 @dataclass(eq=False)
@@ -281,12 +281,11 @@ class EdgeFeatures:
                 f"expected one feature row per edge ({graph.edge_count}), got shape {values.shape}"
             )
         self.values = values
-        # a node's neighbors above it, in CSR order, are its edges in g.edges() order
-        degrees, neighbors = adjacency_arrays(graph)
-        owners = np.repeat(np.arange(graph.node_count, dtype=np.int64), degrees)
-        upper = owners < neighbors
-        # sorted keys, then a sentinel no key equals, so a search never runs off the end
-        self._keys = np.append(owners[upper] * _KEY_BASE + neighbors[upper], np.iinfo(np.int64).max)
+        us, vs = _upper_half(*adjacency_arrays(graph))
+        # the keys of g.edges(), in its sorted order and in int64 (intp may
+        # hold only 32 bits), then a sentinel no key equals, so a search
+        # never runs off the end
+        self._keys = np.append(us.astype(np.int64) * _KEY_BASE + vs, np.iinfo(np.int64).max)
 
     @classmethod
     def zeros(cls, graph: Graph, dim: int) -> "EdgeFeatures":

@@ -18,7 +18,9 @@ across rounds cannot merge classes.
 * The node methods gather every node's neighbor colors, and for nc1wl the
   color pairs of its neighbor-edges coded as one integer, into padded rows
   (:func:`_width_classes`, built once per run), sort each row, and give
-  equal rows equal ids by one sort per width class.
+  equal rows equal ids by one sort per width class. A width class holds
+  the nodes whose row lengths have one bit length, so the padded rows hold
+  under four times the gathered entries plus two slots per node.
 * The tuple methods use that the multiset for position i depends only on
   the other k-1 coordinates: each round sorts the colors of every fiber
   (the n tuples differing only at one position), gives equal sorted fibers
@@ -264,6 +266,9 @@ def _dense_ids(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     code, bound = np.zeros(m, dtype=np.int64), 1
     for row, lo, hi in zip(keys, keys.min(axis=1).tolist(), keys.max(axis=1).tolist()):
         span = hi - lo + 1
+        if span == 1:
+            # a constant row adds the same digit to every code
+            continue
         if bound * span > _INT64_MAX:
             code, bound = _ranks(code)
             if bound * span > _INT64_MAX:
@@ -293,7 +298,9 @@ class _WidthClass:
     the first endpoints of its ``pairs`` neighbor-edge slots, then their
     second endpoints, then its neighbor slots, then the node itself.
     Indices point into the colors extended by one sentinel of color -1,
-    which fills the slots a shorter row does not use.
+    which fills the slots a shorter row does not use. The members of a
+    class are those :func:`_class_members` gives: nodes whose rows have
+    lengths of one bit length, or every node of the graph.
     """
 
     nodes: np.ndarray
@@ -301,15 +308,9 @@ class _WidthClass:
     index: np.ndarray
 
 
-#: A width class takes in the next group of nodes while its padded area
-#: stays within _PAD_FACTOR * (entries + rows) + _PAD_SLACK, so a graph's
-#: padded rows stay within a constant factor of its entries plus nodes.
-#: Every benchmark graph is one class; a star or a wheel is two.
-_PAD_FACTOR, _PAD_SLACK = 2, 64
-
-
 def _width_classes(g: Graph, with_neighbor_edges: bool) -> list[_WidthClass]:
-    """The padded gather matrices of ``g``'s nodes, built once per run."""
+    """The padded gather matrices of ``g``'s nodes, built once per run: one
+    :class:`_WidthClass` per member list of :func:`_class_members`."""
     n = g.node_count
     if n == 0:
         return []
@@ -330,35 +331,24 @@ def _width_classes(g: Graph, with_neighbor_edges: bool) -> list[_WidthClass]:
 def _class_members(degrees: np.ndarray, counts: np.ndarray) -> list[np.ndarray]:
     """The ascending nodes of each width class.
 
-    All nodes form one class when they fit the padding budget. Otherwise
-    nodes are grouped by (degree, neighbor-edge count), whose signatures
-    always differ between groups, and the groups, taken by row length, are
-    merged greedily into classes under the budget.
+    A node's index row has ``s = degree + 2 * count`` gather slots besides
+    its own. Nodes whose ``s`` have the same bit length b form one class:
+    its widest degree and widest ``2 * count`` are each below 2**b, so its
+    padded rows have under 2**(b + 1) slots, under four times each member's
+    ``s``. Equal signatures have equal degree and count, so they never fall
+    in different classes. All nodes form one class when padding every row
+    to the widest takes at most four times all the slots, plus one per node.
     """
     n = len(degrees)
-    lengths = degrees + counts
-    budget = _PAD_FACTOR * (int(lengths.sum()) + n) + _PAD_SLACK
-    if n * (int(degrees.max()) + int(counts.max())) <= budget:
+    slots = degrees + 2 * counts
+    if n * (int(degrees.max()) + 2 * int(counts.max())) <= 4 * int(slots.sum()) + n:
         return [np.arange(n)]
-    order = np.lexsort((degrees, lengths))
-    by_len, by_deg = lengths[order], degrees[order]
-    starts = np.flatnonzero(np.r_[True, (by_len[1:] != by_len[:-1]) | (by_deg[1:] != by_deg[:-1])])
-    sizes = np.diff(np.r_[starts, n]).tolist()
-    cuts = []
-    rows = entries = max_deg = max_count = 0
-    for start, size, length, deg in zip(
-        starts.tolist(), sizes, by_len[starts].tolist(), by_deg[starts].tolist()
-    ):
-        wide_deg, wide_count = max(max_deg, deg), max(max_count, length - deg)
-        area = (rows + size) * (wide_deg + wide_count)
-        if rows and area > _PAD_FACTOR * (entries + size * length + rows + size) + _PAD_SLACK:
-            cuts.append(start)
-            rows = entries = 0
-            wide_deg, wide_count = deg, length - deg
-        rows += size
-        entries += size * length
-        max_deg, max_count = wide_deg, wide_count
-    return [np.sort(members) for members in np.split(order, cuts)]
+    # frexp's exponent of a non-negative integer is its bit length; the
+    # stable sort keeps each class's nodes ascending
+    bits = np.frexp(slots)[1]
+    order = np.argsort(bits, kind="stable")
+    by_bits = bits[order]
+    return np.split(order, np.flatnonzero(by_bits[1:] != by_bits[:-1]) + 1)
 
 
 def _padded(widths: np.ndarray, nodes: np.ndarray, sentinel: int, *flat: np.ndarray) -> list:

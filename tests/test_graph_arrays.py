@@ -245,6 +245,22 @@ class TestBuildDifferential:
         h = Graph.build(40, pairs)
         assert all(type(u) is int for nb in h.adjacency for u in nb)
 
+    def test_ids_the_arrays_refuse_give_the_int_built_graph(self):
+        # numpy unsigned ids and bools pass only the edge-by-edge validator
+        g = random_gnp(random.Random("unsigned-ids"), 40, 0.3)
+        cases = [
+            (3, [(np.uint64(0), np.uint64(1))], Graph.build(3, [(0, 1)])),
+            (2, [(True, False)], Graph.build(2, [(0, 1)])),
+            (40, [(np.uint64(u), np.uint64(v)) for u, v in g.edges()], g),
+        ]
+        for n, edges, want in cases:
+            h = Graph.build(n, edges)
+            assert h == want and hash(h) == hash(want)
+            assert h.adjacency == want.adjacency and h.edge_set == want.edge_set
+            assert all(type(u) is int for nb in h.adjacency for u in nb)
+            assert all(type(x) is int for e in h.edge_set for x in e)
+            assert h.edges() == want.edges()
+
     def test_labels_are_checked_after_the_edges(self):
         for n in (3, 30):
             with pytest.raises(ValueError, match="self-loop"):

@@ -32,7 +32,7 @@ from ncwl import (
     star_graph,
     wheel_graph,
 )
-from ncwl.graph import neighbor_edge_arrays
+from ncwl.graph import _union, neighbor_edge_arrays
 from ncwl.refine import (
     _SORT_MIN_NODES,
     _dense_ids,
@@ -391,6 +391,15 @@ def key_matrices(draw):
 @example(np.zeros((1, 0), dtype=np.int64))
 @example(np.array([[INT64.min, INT64.max, INT64.min], [INT64.max, INT64.min, INT64.max]]))
 @example(np.array([[0, 2**40, 0, 2**40], [2**40, 0, 2**40, 0], [0, 0, 2**40, 2**40]] * 3))
+# constant rows between varying ones, some of whose spans force rank steps
+@example(
+    np.array(
+        [[7] * 4, [0, 2**40, 0, 2**40], [INT64.min] * 4, [2**40, 0, 2**40, 0]]
+        + [[INT64.max] * 4, [0, 0, 2**40, 2**40], [-1] * 4, [1, 2, 1, 3], [5] * 4]
+    )
+)
+# a hub's width class: one column over many key rows
+@example(np.arange(200_000, dtype=np.int64).reshape(-1, 1))
 @settings(max_examples=300, deadline=None)
 def test_packed_dense_ids_equal_the_lexsort_ids(keys):
     before = keys.copy()
@@ -509,6 +518,47 @@ class TestSortedNodeEngine:
             # most twice the padded area plus the node's own slot
             padded = sum(cls.index.size for cls in classes)
             assert padded <= 4 * entries + 128 * len(classes) + g.node_count
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(0, 300).map(star_graph),
+                st.integers(3, 300).map(wheel_graph),
+                st.integers(0, 12).map(complete_graph),
+                graphs(max_nodes=12, max_labels=2),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        st.sampled_from(NODE_METHODS),
+    )
+    # rows that bucketing by degree, or by degree + count, would pad to four times their slots
+    @example(
+        [star_graph(300), complete_graph(4), path_graph(5), star_graph(8), star_graph(15)]
+        + [complete_graph(6)],
+        "nc1wl",
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_width_classes_pad_under_four_times_the_slots(self, parts, method):
+        g = _union(parts)
+        with_neighbor_edges = method == "nc1wl"
+        counts = neighbor_edge_arrays(g)[0] if with_neighbor_edges else np.zeros_like(g.degrees)
+        classes = _width_classes(g, with_neighbor_edges)
+        slots = 2 * g.edge_count + 2 * int(counts.sum())
+        assert sum(cls.index.size for cls in classes) <= 4 * slots + 2 * g.node_count
+        if len(classes) > 1:
+            # each class pads every member's gather slots to under four times their number
+            row_slots = g.degrees + 2 * counts
+            for cls in classes:
+                width = cls.index.shape[1] - 1
+                assert width == 0 or (width < 4 * row_slots[cls.nodes]).all()
+        # the classes partition the nodes, each in ascending order
+        nodes = [cls.nodes for cls in classes]
+        assert all((np.diff(members) > 0).all() for members in nodes)
+        assert sorted(np.concatenate(nodes + [np.zeros(0, np.intp)]).tolist()) == list(
+            range(g.node_count)
+        )
+        assert_node_sorting_matches_interning([g], method)
 
     def test_star_memory_is_linear_in_its_entries(self):
         # a star padded to its widest row would need 200_001 x 200_000 slots
