@@ -3,10 +3,10 @@
 Exit codes: 0 success (for ``compare``: not distinguished), 1 the graphs
 were distinguished (``compare``) or a suite check failed, 2 usage or input
 errors. All commands are deterministic given identical flags, inputs, and
-seed. The engines are sequential; the WL_NO_PARALLEL environment variable
-is ignored. :func:`main` sets ``OPENBLAS_NUM_THREADS=1`` unless the variable
-is set, before any command loads numpy, so OpenBLAS starts no worker thread
-to compete with them; ``gnn-embed`` prints the same bytes at one and two.
+seed. The engines are sequential. :func:`main` sets
+``OPENBLAS_NUM_THREADS=1`` unless the variable is set, before any command
+loads numpy, so OpenBLAS starts no worker thread to compete with them;
+``gnn-embed`` prints the same bytes at one and two.
 """
 
 from __future__ import annotations

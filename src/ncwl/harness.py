@@ -25,7 +25,13 @@ _VARIANT_METHOD = {"nc": "nc1wl", "gin": "1wl"}
 
 
 def canonical_pair(g1: Graph, g2: Graph, method: str = "nc1wl") -> tuple[Graph, Graph]:
-    """Reorder both graphs by the final colors of a joint refinement run."""
+    """Reorder both graphs by the final colors of a joint refinement run.
+
+    ``method`` is a node method, ``1wl`` or ``nc1wl``; any other raises
+    ValueError before refining.
+    """
+    if method not in ("1wl", "nc1wl"):
+        raise ValueError(f"canonical_pair orders nodes, so it needs 1wl or nc1wl, not {method!r}")
     for colors, _ in _counted_rounds(method, [g1, g2], None):
         pass
     n = g1.node_count

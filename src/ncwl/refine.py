@@ -25,9 +25,11 @@ across rounds cannot merge classes.
   the other k-1 coordinates: each round sorts the colors of every fiber
   (the n tuples differing only at one position), gives equal sorted fibers
   equal ids by one sort, and then relabels the (k+1)-integer rows of own
-  color and fiber id per position the same way. Consecutive graphs with
-  equal node counts form one stack of tuple cubes, so a round sorts each
-  position's fibers of the whole stack in one call (:func:`_sort_round`).
+  color and fiber id per position the same way. Round 0 takes graphs of any
+  node counts, which is all that ``compare`` of an unequal pair needs. A
+  later round takes graphs of one node count, a stack of tuple cubes, and
+  sorts each position's fibers of the whole stack in one call
+  (:func:`_sort_round`).
 
 "One sort" is :func:`_dense_ids`: it packs each key column into one int64
 code, exactly (falling back to dense ranks where the digits would
@@ -58,8 +60,8 @@ reporting the first differing round, exactly as an isomorphism-test loop.
 Where only the verdicts of many pairs are wanted, as in the self-check
 suite, :func:`_verdicts` judges every method in joint runs over many pairs
 and reads each pair's verdict off the final colors: the node methods over
-the union of every graph of a chunk of pairs, the tuple methods over one
-stack per node count.
+the union of every graph of a chunk of pairs, the tuple methods in one run
+per node count.
 """
 
 from __future__ import annotations
@@ -429,54 +431,33 @@ def _stacks(graphs: Sequence[Graph]) -> list[tuple[int, list[Graph]]]:
     return [(n, list(run)) for n, run in groupby(graphs, key=attrgetter("node_count"))]
 
 
-def _joined(arrays: list[np.ndarray], axis: int) -> np.ndarray:
-    """``np.concatenate`` that returns a single array as it is, without a copy."""
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=axis)
-
-
 def _sort_round(graphs: Sequence[Graph], k: int, colors: np.ndarray | None) -> np.ndarray:
     """One synchronized k-tuple round over all graphs by sorting.
 
     Entities are each graph's node_count**k tuples in row-major order,
-    graphs concatenated. Consecutive graphs with equal node counts form one
-    stack, a (graphs, n, ..., n) array, whose fibers along one tuple
-    position are sorted by one ``np.sort`` for the whole stack. Fibers of
-    different stacks are padded on the left with -1 to the widest, which
-    only a run over graphs of different sizes has. The ids equal
-    :func:`_intern_round`'s over one interning tuple universe (kept with
-    the tests) per graph.
+    graphs concatenated. Round 0 (``colors`` None) takes graphs of any node
+    counts. A later round takes graphs of one node count n: one stack, a
+    (graphs, n, ..., n) array, whose fibers along one tuple position are
+    sorted by one ``np.sort``; it raises ValueError for mixed node counts.
+    The ids equal :func:`_intern_round`'s over one interning tuple universe
+    (kept with the tests) per graph.
     """
     if colors is None:
         return _dense_ids(_atomic_type_keys(graphs, k))[0]
-    stacks = [(n, len(run)) for n, run in _stacks(graphs) if n]
-    if not stacks:
+    n = graphs[0].node_count
+    if any(g.node_count != n for g in graphs):
+        raise ValueError("a k-tuple round after round 0 takes graphs of one node count")
+    if n == 0:
         return colors
-    width = max(n for n, _ in stacks)
-    cubes, fibers = [], []
-    off = 0
-    for n, count in stacks:
-        cube = colors[off : off + count * n**k].reshape((count,) + (n,) * k)
-        off += count * n**k
-        cubes.append(cube)
-        for axes in _FIBER_AXES[k]:
-            fiber = np.sort(cube.transpose(axes).reshape(-1, n), axis=-1)
-            if n < width:
-                # colors are non-negative, so fibers of different lengths never match
-                fiber = np.concatenate([np.full((len(fiber), width - n), -1), fiber], axis=1)
-            fibers.append(fiber)
-    fiber_ids = _dense_ids(_joined(fibers, 0).T)[0]
-    rows, start = [], 0
-    for cube in cubes:
-        count, n = cube.shape[:2]
-        row = np.empty((k + 1,) + cube.shape, dtype=np.int64)
-        row[0] = cube
-        for i in range(k):
-            # fiber i's ids broadcast along position i
-            shape = (count,) + (n,) * i + (1,) + (n,) * (k - 1 - i)
-            row[1 + i] = fiber_ids[start : start + count * n ** (k - 1)].reshape(shape)
-            start += count * n ** (k - 1)
-        rows.append(row.reshape(k + 1, -1))
-    return _dense_ids(_joined(rows, 1))[0]
+    cube = colors.reshape((len(graphs),) + (n,) * k)
+    fibers = [np.sort(cube.transpose(axes).reshape(-1, n), axis=-1) for axes in _FIBER_AXES[k]]
+    fiber_ids = _dense_ids(np.concatenate(fibers).T)[0].reshape((k,) + cube.shape[:-1])
+    rows = np.empty((k + 1,) + cube.shape, dtype=np.int64)
+    rows[0] = cube
+    for i in range(k):
+        # fiber i's ids broadcast along position i
+        rows[1 + i] = np.expand_dims(fiber_ids[i], 1 + i)
+    return _dense_ids(rows.reshape(k + 1, -1))[0]
 
 
 def _atomic_type_keys(graphs: Sequence[Graph], k: int) -> np.ndarray:
@@ -508,7 +489,8 @@ def _atomic_type_keys(graphs: Sequence[Graph], k: int) -> np.ndarray:
         for r, (i, j) in enumerate(pairs, start=k):
             block[r] = code[:, pos[i], pos[j]]
         blocks.append(block.reshape(k + len(pairs), count * n**k))
-    return _joined(blocks, 1)
+    # one stack's block is returned as it is, without a copy
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
 
 
 def _rounds(step: Callable[[np.ndarray | None], np.ndarray]) -> Iterator[np.ndarray]:
@@ -681,10 +663,10 @@ def _verdicts(pairs: Sequence[tuple[Graph, Graph]], method: str) -> list[bool]:
     ``compare`` reports it, without a run. The other pairs of each
     :data:`_VERDICT_CHUNK` are refined in joint runs: the node methods over
     the union of all their graphs, the tuple methods in one run per node
-    count, so that each run is one stack (see :func:`_sort_round`) and
-    holds at most :data:`MAX_TUPLE_ENTITIES` tuples unless it holds a
-    single pair. In a joint run each graph's colors at every round
-    partition its entities as the pair's own run does. Later colors refine
+    count, as :func:`_sort_round` requires past round 0, each holding at
+    most :data:`MAX_TUPLE_ENTITIES` tuples unless it holds a single pair.
+    In a joint run each graph's colors at every round partition its
+    entities as the pair's own run does. Later colors refine
     earlier ones, so a histogram gap persists, and a pair whose own run has
     stabilised never splits later: a pair is split iff its graphs' sorted
     final colors differ. The tuple node caps are checked on the graphs of

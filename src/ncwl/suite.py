@@ -9,6 +9,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import named_stream
 from .corpus import _hierarchy_violations, load_corpus
 from .graph import Graph, permute_graph, random_gnp, stats
@@ -120,15 +122,26 @@ def check_hierarchy(seed: int, pairs: int) -> CheckResult:
 
 
 def check_stats_identity(seed: int, graphs: int = 100) -> CheckResult:
-    """Sum of per-node neighbor-edge counts is three times the triangle count."""
+    """``stats`` agrees with neighbor-edge counts taken from the dense adjacency.
+
+    Node v's neighbor-edges are the edges among its neighbors, half of
+    ``((A @ A) * A)[v].sum()``. Their sum is three times the triangle count,
+    and the memory bound is the smaller of it and the edge count.
+    """
     rng = named_stream(seed, "stats")
     failures = []
     for t in range(graphs):
         g = random_gnp(rng, rng.randint(1, 14), rng.uniform(0.1, 0.9))
+        n = g.node_count
+        adj = np.zeros((n, n), dtype=np.int64)
+        adj[np.repeat(np.arange(n), g.degrees), g.neighbors] = 1
+        per_node = (((adj @ adj) * adj).sum(axis=1) // 2).tolist()
         s = stats(g)
-        if sum(s.messages_nc_per_node) != 3 * s.triangle_count:
+        if list(s.messages_nc_per_node) != per_node:
+            failures.append(f"graph {t}: per-node message counts differ from the adjacency's")
+        if sum(per_node) != 3 * s.triangle_count:
             failures.append(f"graph {t}: message total != 3T")
-        if s.memory_bound != min(s.edge_count, 3 * s.triangle_count):
+        if s.memory_bound != min(s.edge_count, sum(per_node)):
             failures.append(f"graph {t}: memory bound mismatch")
     detail = "; ".join(failures[:5]) if failures else f"{graphs} random graphs"
     return CheckResult("stats-identity", not failures, detail)

@@ -8,9 +8,9 @@ from ncwl import Graph
 
 
 @st.composite
-def graphs(draw, max_nodes: int = 10, max_labels: int = 1):
-    """Random simple labeled graph with n <= max_nodes."""
-    n = draw(st.integers(min_value=0, max_value=max_nodes))
+def graphs(draw, max_nodes: int = 10, max_labels: int = 1, min_nodes: int = 0):
+    """Random simple labeled graph with min_nodes <= n <= max_nodes."""
+    n = draw(st.integers(min_value=min_nodes, max_value=max_nodes))
     all_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     edges = [e for e in all_pairs if draw(st.booleans())]
     if max_labels > 1 and n:

@@ -5,6 +5,7 @@ import io
 import random
 import time
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -49,6 +50,7 @@ from ncwl.graph import (
     neighbor_edge_arrays,
 )
 from ncwl.harness import seeded_rng
+from ncwl.suite import check_stats_identity
 
 from conftest import graphs
 from reference import merge_neighbor_edges
@@ -464,6 +466,23 @@ class TestStats:
             s = stats(g)
             assert sum(s.messages_nc_per_node) == 3 * s.triangle_count
             assert s.memory_bound == min(s.edge_count, 3 * s.triangle_count)
+
+    def test_suite_check_fails_on_wrong_stats(self, monkeypatch):
+        assert check_stats_identity(0).passed
+
+        def no_triangles(g):
+            # consistent with itself: zero messages, zero triangles, zero bound
+            return replace(
+                stats(g),
+                triangle_count=0,
+                messages_nc_per_node=(0,) * g.node_count,
+                memory_bound=0,
+            )
+
+        monkeypatch.setattr("ncwl.suite.stats", no_triangles)
+        result = check_stats_identity(0)
+        assert not result.passed
+        assert "differ from the adjacency's" in result.detail
 
     @given(graphs(max_nodes=10), st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=60)

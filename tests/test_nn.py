@@ -556,6 +556,16 @@ class TestHarness:
         with pytest.raises(ValueError):
             canonical_pair(cycle_graph(6), path_graph(6), method)
 
+    @pytest.mark.parametrize("method", ["2wl", "3wl"])
+    def test_canonical_pair_refuses_before_refining(self, method, monkeypatch):
+        def no_rounds(*args):
+            raise AssertionError("refined before checking the method")
+
+        monkeypatch.setattr("ncwl.harness._counted_rounds", no_rounds)
+        # an unequal pair, whose tuple rounds past round 0 would mix node counts
+        with pytest.raises(ValueError, match=repr(method)):
+            canonical_pair(cycle_graph(6), path_graph(8), method)
+
     def test_seeded_rng_streams_differ_and_repeat(self):
         a = seeded_rng(7, "x").normal(size=3)
         b = seeded_rng(7, "x").normal(size=3)

@@ -304,11 +304,18 @@ def assert_rounds_equal(step, reference):
 
 
 def assert_sorting_matches_interning(graph_list, k):
-    """Every round of the dispatched k-tuple engine equals the interning reference."""
+    """The dispatched k-tuple engine equals the interning reference: in every
+    round over graphs of one node count, and at round 0 over mixed node counts,
+    the only round the engine runs for them."""
     step, _ = _universes(f"{k}wl", graph_list, None)
     assert step.func is _sort_round
     reference = partial(_intern_round, [TupleUniverse(g, k) for g in graph_list])
-    return assert_rounds_equal(step, reference)
+    if len({g.node_count for g in graph_list}) == 1:
+        assert_rounds_equal(step, reference)
+    else:
+        got, want = step(None), reference(None)
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want)
 
 
 class TestSortedTupleEngine:
@@ -330,18 +337,32 @@ class TestSortedTupleEngine:
     )
     @settings(max_examples=80, deadline=None)
     def test_hypothesis_graphs_with_permuted_and_random_partners(self, g, other, k, data):
-        h = permute_graph(g, data.draw(permutations_of(g.node_count)))
+        n = g.node_count
+        h = permute_graph(g, data.draw(permutations_of(n)))
+        partner = data.draw(graphs(max_nodes=n, max_labels=3, min_nodes=n))
         assert_sorting_matches_interning([g], k)
         assert_sorting_matches_interning([g, h], k)
+        assert_sorting_matches_interning([g, partner], k)
+        # one stack of several equal-size graphs, copies among them
+        assert_sorting_matches_interning([g, h, g, partner, partner, h], k)
+        # other's node count may differ, which is compared at round 0 only
         assert_sorting_matches_interning([g, other], k)
-        # stacks of several equal-size graphs, next to stacks of other sizes
-        assert_sorting_matches_interning([g, h, g, other, other, h], k)
+        assert_sorting_matches_interning([g, h, other, other, g], k)
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_zero_and_one_nodes(self, k):
         empty, single = Graph.build(0, []), Graph.build(1, [], [5])
-        for graph_list in ([empty], [single], [empty, empty], [empty, single], [single, empty]):
+        for graph_list in (
+            [empty],
+            [single],
+            [empty, empty],
+            [single, single],
+            [empty, single],
+            [single, empty],
+        ):
             assert_sorting_matches_interning(graph_list, k)
+        no_colors = np.zeros(0, dtype=np.int64)
+        assert _sort_round([empty, empty], k, no_colors) is no_colors
         assert refine(empty, f"{k}wl")[0].colors == ()
         assert compare(single, single, f"{k}wl").iterations_run == 1
 
@@ -357,12 +378,18 @@ class TestSortedTupleEngine:
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_joint_run_of_different_sizes_past_round_zero(self, k):
-        # every fiber of K3 is K4's minus one adjacent entry, so the fibers
-        # of different lengths must never share an id; compare stops at
-        # round 0 for such pairs, so the generator is driven directly
-        for pair in ([complete_graph(3), complete_graph(4)], [path_graph(3), star_graph(3)]):
-            rounds = assert_sorting_matches_interning(pair, k)
-            assert len(rounds) > 2
+        # compare stops at round 0 for such pairs; a later round refuses
+        # them, also when the first graph has no tuples to refine
+        empty = Graph.build(0, [])
+        for pair in (
+            [complete_graph(3), complete_graph(4)],
+            [path_graph(3), star_graph(3)],
+            [empty, path_graph(3)],
+        ):
+            assert compare(*pair, f"{k}wl").distinguishing_iteration == 0
+            step, _ = _universes(f"{k}wl", pair, None)
+            with pytest.raises(ValueError, match="one node count"):
+                list(_rounds(step))
 
 
 INT64 = np.iinfo(np.int64)
