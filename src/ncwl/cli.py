@@ -51,8 +51,8 @@ def _bind(*names: str) -> None:
 
 
 #: Largest array ``gnn-embed`` may allocate (one-hot input, layer weights,
-#: node embeddings, neighbor and pair rows), in float64 entries: 2**25
-#: entries is 256 MiB.
+#: node embeddings, neighbor and pair rows), and largest sum of all its
+#: layers' parameters, in float64 entries: 2**25 entries is 256 MiB.
 MAX_EMBED_ARRAY_ENTRIES = 2**25
 #: Largest injectivity sweep ``codec-check`` may run, in objects built:
 #: the pair universe plus every pairwise and centered encoding.
@@ -155,6 +155,14 @@ def cmd_gnn_embed(args) -> int:
         raise ValueError(
             f"an array of {max(sizes)} entries (nodes={n}, edges={g.edge_count}, "
             f"labels={num_labels}, dim={dim}) exceeds the limit of {MAX_EMBED_ARRAY_ENTRIES}"
+        )
+    # a layer from width w holds mlp1 (w -> dim -> dim) and mlp2 (w -> w -> w)
+    per_layer = [w * dim + dim * dim + 2 * dim + 2 * w * w + 2 * w for w in (num_labels, dim)]
+    params = per_layer[0] + (args.layers - 1) * per_layer[1] if args.layers else 0
+    if params > MAX_EMBED_ARRAY_ENTRIES:
+        raise ValueError(
+            f"the layers' {params} parameter entries (layers={args.layers}, labels={num_labels}, "
+            f"dim={dim}) exceed the limit of {MAX_EMBED_ARRAY_ENTRIES}"
         )
     layers = stack_layers(seeded_rng(args.seed, "gnn-embed"), num_labels, args.dim, args.layers)
     vec = embed_graph(g, layers, num_labels, variant=args.variant)

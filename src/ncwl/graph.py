@@ -26,7 +26,7 @@ cached on the graph; every later reader shares that copy:
 
 * the tuple views ``Graph.adjacency`` and ``Graph.edge_set``;
 * the neighbor-edge index (the edges inside every node's neighborhood, one
-  per triangle corner), as read-only arrays (:func:`neighbor_edge_arrays`);
+  edge id per triangle corner), as read-only arrays (:func:`neighbor_edge_arrays`);
 * the tuple-of-tuples view of the index (:func:`neighbor_edge_lists`).
 
 Concurrent first calls compute equal values.
@@ -35,8 +35,9 @@ The index comes from compact-forward triangle listing: nodes ranked by
 (degree, id), each edge oriented towards the higher rank, and the wedges
 inside each out-list closed by an oriented edge, tested in blocks of a
 fixed wedge budget. Its time is O(m sqrt(m)) whatever the largest degree.
-One in-place sort of int64 corner codes orders it, in 24 bytes per row:
-about 20 ms for G(700, 19600), 0.7 s for K_300 (13.4M rows) on 2 vCPUs. Above
+One in-place sort of int64 corner codes orders it, then each code becomes
+its row's edge id, in 16.5 bytes per row: about 17 ms for G(700, 19600),
+0.55 s for K_300 (13.4M rows) on 2 vCPUs. Above
 :data:`MAX_NEIGHBOR_EDGES` rows it raises ValueError.
 """
 
@@ -256,6 +257,8 @@ class Graph:
         return list(zip(us.tolist(), vs.tolist()))
 
     def degree(self, v: int) -> int:
+        if not 0 <= v < self.node_count:
+            raise ValueError(f"node id out of range: {v}")
         return int(self.degrees[v])
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -263,14 +266,13 @@ class Graph:
         return ((u, v) if u < v else (v, u)) in self.edge_set
 
     @cached_property
-    def _neighbor_edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        counts, u1s, u2s = _compact_forward(self)
-        return _frozen(counts), _frozen(u1s), _frozen(u2s)
+    def _neighbor_edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        return tuple(map(_frozen, _compact_forward(self)))
 
     @cached_property
     def _neighbor_edge_lists(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        counts, u1s, u2s = self._neighbor_edge_arrays
-        pairs = zip(u1s.tolist(), u2s.tolist())
+        counts, edges = self._neighbor_edge_arrays
+        pairs = map(self.edges().__getitem__, edges.tolist())
         return tuple(tuple(islice(pairs, c)) for c in counts.tolist())
 
 
@@ -433,12 +435,12 @@ def adjacency_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     return g.degrees, g.neighbors
 
 
-def neighbor_edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only (counts, u1s, u2s): the neighbor-edge index as flat arrays.
+def neighbor_edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only intp (counts, edges): the neighbor-edge index as flat arrays.
 
-    ``counts[v]`` is the number of neighbor-edges of v, and ``(u1s[i],
-    u2s[i])`` with ``u1s[i] < u2s[i]`` run over all of them in (v, u1, u2)
-    order. Computed once per graph and cached.
+    ``counts[v]`` is the number of neighbor-edges of v, and ``edges`` holds
+    each one's edge id, its position in ``g.edges()``, for every v in turn,
+    ascending. Computed once per graph and cached.
     """
     return g._neighbor_edge_arrays
 
@@ -450,18 +452,18 @@ def neighbor_edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _WEDGE_BLOCK = 2**16
 
 #: Largest neighbor-edge index (3T rows, one per triangle corner) a graph
-#: may have. nc1wl ``refine`` holds about 64 bytes per row: 853 MiB peak on
-#: K_300 (3T = 13.4M), so about 1.1 GiB at the limit.
+#: may have. nc1wl ``refine`` holds about 27 bytes per row: 368 MiB peak on
+#: K_300 (3T = 13.4M), so about 460 MiB at the limit.
 MAX_NEIGHBOR_EDGES = 2**24
 
 
-def _compact_forward(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _compact_forward(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """The arrays behind :func:`neighbor_edge_arrays`, from the triangles of ``g``.
 
     One in-place sort of the corner codes of :func:`_forward_triangles` puts
-    the rows in (v, u1, u2) order; code // m is the row's v, and code % m
-    indexes the edge tables (u1, u2). Raises ValueError as soon as the rows
-    found pass :data:`MAX_NEIGHBOR_EDGES`.
+    the rows in (v, edge) order, which is (v, u1, u2) order; code // m is
+    the row's v, and code % m, kept in place, its edge id. Raises ValueError
+    as soon as the rows found pass :data:`MAX_NEIGHBOR_EDGES`.
     """
     n, m = g.node_count, g.edge_count
     blocks, total = [np.empty(0, dtype=np.int64)], 0
@@ -478,9 +480,7 @@ def _compact_forward(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     codes.sort()
     counts = np.bincount((codes // m).astype(np.intp, copy=False), minlength=n)
     codes %= m
-    # made once the blocks are freed, so they do not add to the heap's peak
-    u1s, u2s = _upper_half(*adjacency_arrays(g))
-    return counts, u1s[codes], u2s[codes]
+    return counts, codes.astype(np.intp, copy=False)
 
 
 def _upper_half(degrees: np.ndarray, neighbors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -340,17 +340,19 @@ def _layer_internals(
     if feats is not None and feats.dim != H.shape[1]:
         raise ValueError(f"edge feature dim {feats.dim} must equal node embedding dim {H.shape[1]}")
     base = (1.0 + epsilon) * H + _neighbor_sums(g, H, feats)
-    counts = u1s = u2s = mlp2_cache = None
+    counts = edges = mlp2_cache = None
     if mlp2 is not None:
-        counts, u1s, u2s = neighbor_edge_arrays(g)
-        if len(u1s):
-            Y = H[u1s] + H[u2s]
+        counts, edges = neighbor_edge_arrays(g)
+        if len(edges):
+            us, vs = _upper_half(*adjacency_arrays(g))
+            Y = H[us] + H[vs]
             if feats is not None:
-                Y = Y + feats.values[feats._rows(u1s, u2s)]
+                Y = Y + feats.values  # the neighbor sums found every edge's row
+            Y = Y[edges]  # a row per neighbor-edge; frees the per-edge rows first
             M, mlp2_cache = mlp2._forward_cached(Y)
             base = base + _grouped_exact_sums(M, counts, H.shape[1])
     out, mlp1_cache = mlp1._forward_cached(base)
-    return out, (counts, u1s, u2s, mlp2_cache, mlp1_cache)
+    return out, (counts, edges, mlp2_cache, mlp1_cache)
 
 
 def nc_gnn_layer_forward(g: Graph, H: np.ndarray, layer: NcGnnLayer) -> np.ndarray:
@@ -396,7 +398,7 @@ def nc_gnn_layer_backward(
     the parameter gradients; on graphs without neighbor-edges the mlp2
     gradients are exactly zero.
     """
-    out, (counts, u1s, u2s, mlp2_cache, mlp1_cache) = _layer_internals(
+    out, (counts, edges, mlp2_cache, mlp1_cache) = _layer_internals(
         g, H, layer.mlp1, layer.epsilon, layer.mlp2
     )
     if upstream.shape != out.shape:
@@ -406,11 +408,11 @@ def nc_gnn_layer_backward(
     d_eps = float((d_base * H).sum())
     # the neighbor-sum term is symmetric: node u receives d_base from each v in N(u)
     d_H = (1.0 + layer.epsilon) * d_base + _neighbor_sums(g, d_base)
-    if len(u1s):
+    if len(edges):
         d_M = np.repeat(d_base, counts, axis=0)
         d_Y, mlp2_grads = layer.mlp2._backward(mlp2_cache, d_M)
         # node w receives d_Y of every neighbor-edge (u1, u2) with w in {u1, u2}
-        ends = np.concatenate((u1s, u2s))
+        ends = np.concatenate([side[edges] for side in _upper_half(*adjacency_arrays(g))])
         order = np.argsort(ends, kind="stable")
         d_H = d_H + _grouped_exact_sums(
             np.concatenate((d_Y, d_Y))[order], np.bincount(ends, minlength=len(H)), H.shape[1]

@@ -16,11 +16,11 @@ since signatures embed the previous round's colors, reusing small ids
 across rounds cannot merge classes.
 
 * The node methods gather every node's neighbor colors, and for nc1wl the
-  color pairs of its neighbor-edges coded as one integer, into padded rows
-  (:func:`_width_classes`, built once per run), sort each row, and give
-  equal rows equal ids by one sort per width class. A width class holds
-  the nodes whose row lengths have one bit length, so the padded rows hold
-  under four times the gathered entries plus two slots per node.
+  codes of its neighbor-edges' color pairs (one per edge and round), into
+  padded rows (:func:`_width_classes`, built once per run), sort each row,
+  and give equal rows equal ids by one sort per width class. A width class
+  holds the nodes whose row lengths have one bit length, so the padded rows
+  hold under four times the gathered entries plus two slots per node.
 * The tuple methods use that the multiset for position i depends only on
   the other k-1 coordinates: each round sorts the colors of every fiber
   (the n tuples differing only at one position), gives equal sorted fibers
@@ -78,6 +78,7 @@ from . import METHODS  # defined numpy-free in the package; re-exported here
 from .graph import (
     Graph,
     _union,
+    _upper_half,
     adjacency_arrays,
     disjoint_union,
     neighbor_edge_arrays,
@@ -296,11 +297,10 @@ def _dense_ids(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class _WidthClass:
     """Nodes whose signature rows are padded to one width.
 
-    ``nodes`` ascend. ``index`` holds one row of gather indices per node:
-    the first endpoints of its ``pairs`` neighbor-edge slots, then their
-    second endpoints, then its neighbor slots, then the node itself.
-    Indices point into the colors extended by one sentinel of color -1,
-    which fills the slots a shorter row does not use. The members of a
+    ``nodes`` ascend. ``index`` holds one row of gather indices per node
+    into :func:`_node_round`'s source: its ``pairs`` neighbor-edge slots
+    (edge codes), then its neighbor slots (colors), then the node itself.
+    Sentinels fill the slots a shorter row does not use. The members of a
     class are those :func:`_class_members` gives: nodes whose rows have
     lengths of one bit length, or every node of the graph.
     """
@@ -310,40 +310,41 @@ class _WidthClass:
     index: np.ndarray
 
 
-def _width_classes(g: Graph, with_neighbor_edges: bool) -> list[_WidthClass]:
+def _width_classes(g: Graph, with_neighbor_edges: bool) -> tuple[list[_WidthClass], tuple]:
     """The padded gather matrices of ``g``'s nodes, built once per run: one
-    :class:`_WidthClass` per member list of :func:`_class_members`."""
+    :class:`_WidthClass` per member list of :func:`_class_members`, and the
+    endpoint arrays of the edges that their neighbor-edge slots name."""
     n = g.node_count
-    if n == 0:
-        return []
     degrees, neighbors = adjacency_arrays(g)
+    counts, edges, ends = np.zeros_like(degrees), neighbors[:0], (neighbors[:0],) * 2
     if with_neighbor_edges:
-        counts, u1s, u2s = neighbor_edge_arrays(g)
-    else:
-        counts, u1s, u2s = np.zeros_like(degrees), neighbors[:0], neighbors[:0]
+        (counts, edges), ends = neighbor_edge_arrays(g), _upper_half(degrees, neighbors)
+    if n == 0:
+        return [], ends
     classes = []
     for nodes in _class_members(degrees, counts):
-        u1, u2 = _padded(counts, nodes, n, u1s, u2s)
-        (nbr,) = _padded(degrees, nodes, n, neighbors)
-        index = np.concatenate([u1, u2, nbr, nodes[:, None]], axis=1)
-        classes.append(_WidthClass(nodes, u1.shape[1], index))
-    return classes
+        # edge e's code sits at n + 1 + e, after the colors and their sentinel
+        pair = _padded(counts, nodes, g.edge_count, edges) + (n + 1)
+        nbr = _padded(degrees, nodes, n, neighbors)
+        index = np.concatenate([pair, nbr, nodes[:, None]], axis=1)
+        classes.append(_WidthClass(nodes, pair.shape[1], index))
+    return classes, ends
 
 
 def _class_members(degrees: np.ndarray, counts: np.ndarray) -> list[np.ndarray]:
     """The ascending nodes of each width class.
 
-    A node's index row has ``s = degree + 2 * count`` gather slots besides
-    its own. Nodes whose ``s`` have the same bit length b form one class:
-    its widest degree and widest ``2 * count`` are each below 2**b, so its
-    padded rows have under 2**(b + 1) slots, under four times each member's
-    ``s``. Equal signatures have equal degree and count, so they never fall
-    in different classes. All nodes form one class when padding every row
-    to the widest takes at most four times all the slots, plus one per node.
+    A node's index row has ``s = degree + count`` gather slots besides its
+    own. Nodes whose ``s`` have the same bit length b form one class: its
+    widest degree and widest count are each below 2**b, so its padded rows
+    have under 2**(b + 1) slots, under four times each member's ``s``.
+    Equal signatures have equal degree and count, so they never fall in
+    different classes. All nodes form one class when padding every row to
+    the widest takes at most four times all the slots, plus one per node.
     """
     n = len(degrees)
-    slots = degrees + 2 * counts
-    if n * (int(degrees.max()) + 2 * int(counts.max())) <= 4 * int(slots.sum()) + n:
+    slots = degrees + counts
+    if n * (int(degrees.max()) + int(counts.max())) <= 4 * int(slots.sum()) + n:
         return [np.arange(n)]
     # frexp's exponent of a non-negative integer is its bit length; the
     # stable sort keeps each class's nodes ascending
@@ -353,37 +354,31 @@ def _class_members(degrees: np.ndarray, counts: np.ndarray) -> list[np.ndarray]:
     return np.split(order, np.flatnonzero(by_bits[1:] != by_bits[:-1]) + 1)
 
 
-def _padded(widths: np.ndarray, nodes: np.ndarray, sentinel: int, *flat: np.ndarray) -> list:
-    """The rows of the ascending ``nodes`` in each CSR array of ``flat``.
-
-    Row v of a CSR array holds ``widths[v]`` entries; shorter rows are
-    padded with ``sentinel`` to the widest row of ``nodes``. One matrix per
-    array.
-    """
+def _padded(widths: np.ndarray, nodes: np.ndarray, sentinel: int, flat: np.ndarray) -> np.ndarray:
+    """The rows of the ascending ``nodes`` in the CSR array ``flat``, where row
+    v holds ``widths[v]`` entries, padded with ``sentinel`` to the widest."""
     w = widths[nodes]
     mask = np.arange(w.max()) < w[:, None]
     member = np.zeros(len(widths), dtype=bool)
     member[nodes] = True
+    rows = np.full(mask.shape, sentinel, dtype=np.intp)
     # the entries of the members, in node order: the row-major order of mask
-    src = np.repeat(member, widths)
-    out = []
-    for values in flat:
-        rows = np.full(mask.shape, sentinel, dtype=np.intp)
-        rows[mask] = values[src]
-        out.append(rows)
-    return out
+    rows[mask] = flat[np.repeat(member, widths)]
+    return rows
 
 
 def _node_round(
-    classes: list[_WidthClass], labels: Sequence[int], colors: np.ndarray | None
+    classes: list[_WidthClass], ends: tuple, labels: Sequence[int], colors: np.ndarray | None
 ) -> np.ndarray:
     """One 1wl or nc1wl round over the nodes of one graph by sorting.
 
-    Each class relabels its rows [sorted pair codes, sorted neighbor colors,
-    own color] with one :func:`_dense_ids`; a pair (a, b) of colors, both
-    below the node count n, is coded ``min * n + max``. Padding slots hold
-    the sentinel's -1 or its code -n - 1, which no real entry takes, so
-    equal rows have equal degree and pair count. The classes, holding
+    ``ends`` holds the endpoint arrays of the edges (empty for 1wl). Each
+    edge's pair (a, b) of colors, both below the node count n, is coded
+    ``min * n + max`` once. Each class gathers its rows [pair codes,
+    neighbor colors, own color], sorts the codes and the neighbor colors
+    of each row, and relabels the rows with one :func:`_dense_ids`.
+    Padding slots hold -1 or the code -n - 1, which no real entry takes,
+    so equal rows have equal degree and pair count. The classes, holding
     disjoint signatures, merge into global ids by the rank of each group's
     first node. The ids equal :func:`_intern_round`'s over one
     :class:`_NodeUniverse`.
@@ -392,21 +387,16 @@ def _node_round(
         ids = {lab: i for i, lab in enumerate(dict.fromkeys(labels))}
         return np.array([ids[lab] for lab in labels], dtype=np.int64)
     n = len(colors)
-    ext = np.empty(n + 1, dtype=np.int64)
-    ext[:n] = colors
-    ext[n] = -1
+    a, b = colors[ends[0]], colors[ends[1]]
+    # the colors, their sentinel, each edge's pair code, then the codes' sentinel
+    source = np.concatenate((colors, [-1], np.minimum(a, b) * n + np.maximum(a, b), [-n - 1]))
     parts = []
     for cls in classes:
-        p = cls.pairs
-        rows = ext[cls.index]
-        if p:
-            a, b = rows[:, :p], rows[:, p : 2 * p]
-            codes = np.minimum(a, b) * n + np.maximum(a, b)
-            codes.sort(axis=1)
-            rows[:, p : 2 * p] = codes
-        rows[:, 2 * p : -1].sort(axis=1)
+        rows = source[cls.index]
+        rows[:, : cls.pairs].sort(axis=1)
+        rows[:, cls.pairs : -1].sort(axis=1)
         # keys: sorted pair codes, sorted neighbor colors, own color
-        parts.append(_dense_ids(rows[:, p:].T))
+        parts.append(_dense_ids(rows.T))
     firsts = np.concatenate([cls.nodes[first] for cls, (_, first) in zip(classes, parts)])
     rank = np.empty(len(firsts), dtype=np.int64)
     rank[np.argsort(firsts)] = np.arange(len(firsts))
@@ -544,7 +534,7 @@ def _universes(method: str, graphs: Sequence[Graph], node_cap: int | None):
         if g.node_count < _SORT_MIN_NODES:
             step = partial(_intern_round, [_NodeUniverse(g, with_neighbor_edges)])
         else:
-            step = partial(_node_round, _width_classes(g, with_neighbor_edges), g.labels)
+            step = partial(_node_round, *_width_classes(g, with_neighbor_edges), g.labels)
         return step, [g.node_count for g in graphs]
     if method not in ("2wl", "3wl"):
         raise ValueError(f"unknown method {method!r}")

@@ -43,7 +43,7 @@ from ncwl import (
     random_gnp,
     refine,
 )
-from ncwl.graph import MAX_NODE_COUNT, adjacency_arrays
+from ncwl.graph import MAX_NODE_COUNT, _upper_half, adjacency_arrays
 from ncwl.nn import _layer_internals
 from ncwl.suite import CheckResult, named_stream, run_hierarchy_trial
 
@@ -270,9 +270,11 @@ def backward_input_gradient(g: Graph, H: np.ndarray, layer, upstream: np.ndarray
     """The earlier input gradient of ``nn.nc_gnn_layer_backward``, summed in
     order by a loop over nodes and two ``np.add.at``, and the same sums over
     every summand's absolute value, which bound both versions' rounding."""
-    _, (counts, u1s, u2s, mlp2_cache, mlp1_cache) = _layer_internals(
+    _, (counts, edges, mlp2_cache, mlp1_cache) = _layer_internals(
         g, H, layer.mlp1, layer.epsilon, layer.mlp2
     )
+    us, vs = _upper_half(*adjacency_arrays(g))
+    u1s, u2s = us[edges], vs[edges]
     d_base, _ = layer.mlp1._backward(mlp1_cache, upstream)
     d_Y = np.zeros((0, H.shape[1]))
     if len(u1s):

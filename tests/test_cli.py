@@ -246,6 +246,21 @@ class TestGnnEmbedCommand:
         # the index alone would take 63 MB
         assert peak < 24 * 2**20
 
+    @pytest.mark.parametrize("layers, code", [("40", 2), ("2", 0)])
+    def test_the_layers_parameters_are_bounded_together(self, files, layers, code):
+        # at dim 512 each layer after the first holds about 1.05M entries,
+        # under the limit alone; the count is that of any unlabeled graph
+        res = run_cli("gnn-embed", files["c6"], "--layers", layers, "--dim", "512")
+        assert res.returncode == code, res.stderr
+        if code == 2:
+            assert res.stdout == ""
+            assert res.stderr == (
+                "error: the layers' 41238020 parameter entries (layers=40, labels=1, "
+                "dim=512) exceed the limit of 33554432\n"
+            )
+        else:
+            assert len(res.stdout.split()) == 512
+
 
 class TestCodecCheckCommand:
     def test_defaults_pass(self):
@@ -439,15 +454,17 @@ def test_two_line_file_at_the_node_limit(tmp_path, command, bound_mib):
     "argv, n, code, bound_mib",
     [
         (["stats"], 300, 0, 400),
+        (["refine", "--method", "nc1wl"], 300, 0, 512),
         (["stats"], 330, 2, 256),
         (["refine", "--method", "nc1wl"], 330, 2, 256),
     ],
 )
 def test_dense_graphs_below_and_above_the_neighbor_edge_limit(tmp_path, argv, n, code, bound_mib):
     # K_300 has 3T = 13.4M neighbor-edges, within the limit, and K_330 17.8M.
-    # At the time of writing stats on K_300 peaked near 342 MiB (866 MiB while
-    # the index lexsorted its rows), and K_330 was refused after about 0.6 s
-    # near 171 MiB
+    # At the time of writing, on K_300, stats peaked near 245 MiB (866 MiB
+    # while the index lexsorted its rows) and nc1wl refine near 370 MiB (853
+    # MiB while the rounds gathered both endpoints of every row), and K_330
+    # was refused after about 0.6 s near 171 MiB
     rows = n * (n - 1) * (n - 2) // 2
     assert (rows > MAX_NEIGHBOR_EDGES) == (code == 2)
     path = tmp_path / "k.txt"

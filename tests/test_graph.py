@@ -237,15 +237,19 @@ class TestNeighborEdges:
 @given(graphs(max_nodes=12))
 def test_array_views_flatten_the_adjacency_and_the_index(g):
     degrees, neighbors = adjacency_arrays(g)
-    counts, u1s, u2s = neighbor_edge_arrays(g)
+    counts, edges = neighbor_edge_arrays(g)
     assert degrees.tolist() == [len(nb) for nb in g.adjacency]
     assert neighbors.tolist() == [u for nb in g.adjacency for u in nb]
-    lists = neighbor_edge_lists(g)
-    assert counts.tolist() == [len(pairs) for pairs in lists]
-    assert list(zip(u1s.tolist(), u2s.tolist())) == [pair for pairs in lists for pair in pairs]
-    views = (degrees, neighbors, counts, u1s, u2s)
+    expected = merge_neighbor_edges(g)
+    assert counts.tolist() == [len(pairs) for pairs in expected]
+    # one edge id per row, an index into g.edges()
+    edge_list = g.edges()
+    assert [edge_list[e] for e in edges.tolist()] == [p for pairs in expected for p in pairs]
+    views = (degrees, neighbors, counts, edges)
+    assert all(a.dtype == np.intp for a in views)
     assert not any(a.flags.writeable for a in views)
-    assert adjacency_arrays(g)[1] is neighbors and neighbor_edge_arrays(g)[1] is u1s
+    assert adjacency_arrays(g)[1] is neighbors
+    assert neighbor_edge_arrays(g)[0] is counts and neighbor_edge_arrays(g)[1] is edges
 
 
 def test_neighbor_edge_index_is_built_once_per_graph(monkeypatch):
@@ -275,10 +279,14 @@ def test_neighbor_edge_index_is_built_once_per_graph(monkeypatch):
 def assert_lister_matches_reference(g: Graph):
     """The cached index, a fresh listing and the tuple view equal the merge reference on ``g``."""
     expected = merge_neighbor_edges(g)
-    for counts, u1s, u2s in (neighbor_edge_arrays(g), _compact_forward(g)):
-        assert all(a.dtype == np.intp for a in (counts, u1s, u2s))
+    edge_list = g.edges()
+    for counts, edges in (neighbor_edge_arrays(g), _compact_forward(g)):
+        assert all(a.dtype == np.intp for a in (counts, edges))
         assert counts.tolist() == [len(pairs) for pairs in expected]
-        assert list(zip(u1s.tolist(), u2s.tolist())) == [p for pairs in expected for p in pairs]
+        assert [edge_list[e] for e in edges.tolist()] == [p for pairs in expected for p in pairs]
+    cached = neighbor_edge_arrays(g)
+    assert not any(a.flags.writeable for a in cached)
+    assert all(a is b for a, b in zip(neighbor_edge_arrays(g), cached))
     lists = neighbor_edge_lists(g)
     assert lists == tuple(map(tuple, expected))
     assert neighbor_edge_lists(g) is lists
@@ -355,7 +363,7 @@ class TestNeighborEdgeLister:
         adjacency_arrays(g)
         tracemalloc.start()
         try:
-            counts, _, _ = _compact_forward(g)
+            counts, _ = _compact_forward(g)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -363,19 +371,20 @@ class TestNeighborEdgeLister:
         assert peak < 64 * 2**20
 
     def test_peak_memory_per_row_of_a_dense_index(self):
-        # one int64 code per row, sorted in place, then the two edge columns:
-        # about 24.7 bytes per row, where the lexsort of the rows took 64
+        # one int64 code per row, sorted in place and kept as the row's edge
+        # id: about 16.5 bytes per row (24.7 while it also gathered both
+        # endpoint columns, 64 while it lexsorted the rows)
         g = complete_graph(120)
         adjacency_arrays(g)
         tracemalloc.start()
         try:
-            counts, _, _ = _compact_forward(g)
+            counts, _ = _compact_forward(g)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         rows = int(counts.sum())
         assert rows == 120 * 119 * 118 // 2
-        assert peak < 32 * rows
+        assert peak < 20 * rows
 
     def test_an_index_over_the_limit_is_refused(self, monkeypatch):
         # K_6 has 3T = 60 rows: built at a limit of 60, refused at 59 by every reader

@@ -23,6 +23,7 @@ from ncwl import (
     complete_graph,
     disjoint_union,
     parse_edge_list,
+    path_graph,
     permute_graph,
     random_gnp,
     stats,
@@ -338,6 +339,12 @@ class TestEqualityAndViews:
         assert [h.degree(v) for v in range(h.node_count)] == [len(nb) for nb in h.adjacency]
         assert all(h.has_edge(v, u) for u, v in edges)
         assert h.adjacency == g.adjacency and h.edge_set == g.edge_set
+
+    @pytest.mark.parametrize("v", [-1, 3, -4])
+    def test_degree_refuses_an_id_out_of_range(self, v):
+        # a negative id once indexed from the end: degree(-1) read node 2's degree
+        with pytest.raises(ValueError, match=f"node id out of range: {v}"):
+            path_graph(3).degree(v)
 
 
 class TestNeighborEdgeTotal:

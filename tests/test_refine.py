@@ -442,7 +442,7 @@ def assert_node_sorting_matches_interning(graph_list, method):
     """Every round of the sorting node engine equals the interning reference."""
     g = graph_list[0] if len(graph_list) == 1 else disjoint_union(*graph_list)[0]
     with_neighbor_edges = method == "nc1wl"
-    step = partial(_node_round, _width_classes(g, with_neighbor_edges), g.labels)
+    step = partial(_node_round, *_width_classes(g, with_neighbor_edges), g.labels)
     reference = partial(_intern_round, [_NodeUniverse(g, with_neighbor_edges)])
     return assert_rounds_equal(step, reference)
 
@@ -524,7 +524,7 @@ class TestSortedNodeEngine:
         labeled = star_graph(200, [v % 3 for v in range(201)])
         path = path_graph(5, [0, 1, 2, 1, 0])
         for g in (star, wheel, labeled, disjoint_union(path, wheel)[0]):
-            assert len(_width_classes(g, method == "nc1wl")) > 1
+            assert len(_width_classes(g, method == "nc1wl")[0]) > 1
         for graph_list in (
             [star],
             [wheel],
@@ -540,9 +540,9 @@ class TestSortedNodeEngine:
         for g in (star_graph(300), wheel_graph(300), complete_graph(9), path_graph(40)):
             counts = neighbor_edge_arrays(g)[0]
             entries = 2 * g.edge_count + int(counts.sum()) + g.node_count
-            classes = _width_classes(g, with_neighbor_edges=True)
-            # an index row has two slots per neighbor-edge slot, so it is at
-            # most twice the padded area plus the node's own slot
+            classes, _ = _width_classes(g, with_neighbor_edges=True)
+            # an index row has one slot per neighbor and per neighbor-edge,
+            # padded to under four times their number, plus the node's own
             padded = sum(cls.index.size for cls in classes)
             assert padded <= 4 * entries + 128 * len(classes) + g.node_count
 
@@ -570,12 +570,12 @@ class TestSortedNodeEngine:
         g = _union(parts)
         with_neighbor_edges = method == "nc1wl"
         counts = neighbor_edge_arrays(g)[0] if with_neighbor_edges else np.zeros_like(g.degrees)
-        classes = _width_classes(g, with_neighbor_edges)
-        slots = 2 * g.edge_count + 2 * int(counts.sum())
+        classes, _ = _width_classes(g, with_neighbor_edges)
+        slots = 2 * g.edge_count + int(counts.sum())
         assert sum(cls.index.size for cls in classes) <= 4 * slots + 2 * g.node_count
         if len(classes) > 1:
             # each class pads every member's gather slots to under four times their number
-            row_slots = g.degrees + 2 * counts
+            row_slots = g.degrees + counts
             for cls in classes:
                 width = cls.index.shape[1] - 1
                 assert width == 0 or (width < 4 * row_slots[cls.nodes]).all()
