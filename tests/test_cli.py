@@ -454,9 +454,9 @@ def test_two_line_file_at_the_node_limit(tmp_path, command, bound_mib):
     "argv, n, code, bound_mib",
     [
         (["stats"], 300, 0, 400),
-        (["refine", "--method", "nc1wl"], 300, 0, 512),
         (["stats"], 330, 2, 256),
         (["refine", "--method", "nc1wl"], 330, 2, 256),
+        (["refine", "--method", "nc1wl"], 300, 0, 512),
     ],
 )
 def test_dense_graphs_below_and_above_the_neighbor_edge_limit(tmp_path, argv, n, code, bound_mib):
