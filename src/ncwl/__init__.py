@@ -40,7 +40,7 @@ _EXPORTS = {
         disjoint_union empty_graph neighbor_edge_lists neighbor_edges parse_edge_list
         path_graph permute_graph random_gnm random_gnp serialize_edge_list star_graph stats
         wheel_graph""",
-    "harness": "canonical_pair embedding_gap separation_count",
+    "harness": "embedding_gap separation_count",
     "nn": """EdgeFeatures Mlp NcGnnLayer NcGnnLayerGrads embed_graph gin_layer_forward
         gin_layer_forward_edgefeat init_layer init_mlp nc_gnn_layer_backward
         nc_gnn_layer_forward nc_gnn_layer_forward_edgefeat one_hot_features readout_sum

@@ -122,8 +122,15 @@ def seeded_rng(seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng([seed & 0xFFFFFFFF, int.from_bytes(digest, "big")])
 
 
+def _check_sizes(**sizes: int) -> None:
+    for name, size in sizes.items():
+        if size < 1:
+            raise ValueError(f"{name} must be at least 1, got {size}")
+
+
 def init_mlp(rng: np.random.Generator, in_dim: int, hidden_dim: int, out_dim: int) -> Mlp:
     """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) weights and biases."""
+    _check_sizes(in_dim=in_dim, hidden_dim=hidden_dim, out_dim=out_dim)
     s1 = 1.0 / math.sqrt(in_dim)
     s2 = 1.0 / math.sqrt(hidden_dim)
     return Mlp(
@@ -145,6 +152,9 @@ def init_layer(rng: np.random.Generator, in_dim: int, out_dim: int) -> NcGnnLaye
 
 def stack_layers(rng: np.random.Generator, num_labels: int, dim: int, count: int) -> list[NcGnnLayer]:
     """`count` layers chained from one-hot inputs of width num_labels."""
+    _check_sizes(num_labels=num_labels, dim=dim)
+    if count < 0:
+        raise ValueError(f"count must be at least 0, got {count}")
     layers = []
     in_dim = num_labels
     for _ in range(count):

@@ -10,10 +10,8 @@ groups equal key columns by one ``np.lexsort`` of the key rows.
 :func:`merge_neighbor_edges` is the package's earlier neighbor-edge lister,
 the one the compact-forward lister is held to. :func:`check_soundness` and
 :func:`check_hierarchy` are the package's earlier self-checks, which judge
-every pair by its own ``compare`` calls. :func:`canonical_pair` is the
-package's earlier harness ordering, built from every round's ``refine``
-coloring of the disjoint union. :func:`backward_input_gradient` is the
-package's earlier input gradient of the layer backward, summed in order.
+every pair by its own ``compare`` calls. :func:`backward_input_gradient` is
+the package's earlier input gradient of the layer backward, summed in order.
 :func:`encode_multiset`, :func:`encode_pairwise`, :func:`encode_centered`
 and :func:`decode_multiset` are the package's earlier codec, which sums
 one ``Fraction`` per term and decodes by a ``Fraction`` divmod per
@@ -38,10 +36,8 @@ from ncwl import (
     Graph,
     GraphFormatError,
     compare,
-    disjoint_union,
     permute_graph,
     random_gnp,
-    refine,
 )
 from ncwl.graph import MAX_NODE_COUNT, _upper_half, adjacency_arrays
 from ncwl.nn import _layer_internals
@@ -236,22 +232,6 @@ def check_hierarchy(seed: int, pairs: int) -> CheckResult:
             failures.append(f"pair {t}: {problem}")
     detail = "; ".join(failures[:5]) if failures else f"{pairs} random pairs, no violations"
     return CheckResult("hierarchy", not failures, detail)
-
-
-def canonical_pair(g1: Graph, g2: Graph, method: str = "nc1wl") -> tuple[Graph, Graph]:
-    """The earlier ``harness.canonical_pair``: the last ``refine`` coloring of the
-    disjoint union, each graph's nodes sorted in Python by (color, id)."""
-    union, offset = disjoint_union(g1, g2)
-    final = refine(union, method)[-1].colors
-
-    def perm_for(colors) -> list[int]:
-        order = sorted(range(len(colors)), key=lambda v: (colors[v], v))
-        perm = [0] * len(colors)
-        for new_id, old_id in enumerate(order):
-            perm[old_id] = new_id
-        return perm
-
-    return permute_graph(g1, perm_for(final[:offset])), permute_graph(g2, perm_for(final[offset:]))
 
 
 def _ordered_input_gradient(g: Graph, d_self, d_base, u1s, u2s, d_Y):

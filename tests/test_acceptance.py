@@ -158,7 +158,7 @@ def test_08_embedding_distinguishability_harness():
         assert nc_hits >= 9, f"only {nc_hits}/10 seeds separated the pair"
         for seed in range(10):
             gap = embedding_gap(g1, g2, seed, variant="gin")
-            assert gap < 1e-9, f"plain layers leaked a gap of {gap:.2e}"
+            assert gap == 0.0, f"plain layers leaked a gap of {gap:.2e}"
     report(8, "2-layer embeddings split the witness pairs; plain layers never do")
 
 

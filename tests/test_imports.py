@@ -17,7 +17,8 @@ from ncwl.cli import main
 
 # The public names ``dir(ncwl)`` listed when ``import ncwl`` imported every
 # submodule, by defining submodule, less ``SignatureInterner``, which a plain
-# dict replaced; the submodules' own names were there too.
+# dict replaced, and ``canonical_pair``, which the harness no longer needs
+# since it embeds each pair as given; the submodules' own names were there too.
 EXPORTED = {
     "codec": (
         "CodecContext CodecError EpsilonValue ExactRational decode_multiset encode_centered "
@@ -30,7 +31,7 @@ EXPORTED = {
         "path_graph permute_graph random_gnm random_gnp serialize_edge_list star_graph stats "
         "wheel_graph"
     ),
-    "harness": "canonical_pair embedding_gap separation_count",
+    "harness": "embedding_gap separation_count",
     "nn": (
         "EdgeFeatures Mlp NcGnnLayer NcGnnLayerGrads embed_graph gin_layer_forward "
         "gin_layer_forward_edgefeat init_layer init_mlp nc_gnn_layer_backward "
@@ -55,7 +56,7 @@ def python(code: str, *args: str) -> subprocess.CompletedProcess:
 
 def test_pinned_names_are_the_submodules_objects():
     names = [name for names in EXPORTED.values() for name in names.split()] + list(SUBMODULES)
-    assert len(names) == 64
+    assert len(names) == 63
     assert set(names) <= set(dir(ncwl))
     for module, exported in EXPORTED.items():
         home = importlib.import_module(f"ncwl.{module}")
@@ -110,6 +111,11 @@ def test_refine_and_stats_stay_functions(tmp_path, steps):
         f"assert ncwl.refine is {REFINE}",
     ]
     res = python("\n".join(script), str(path))
+    assert res.returncode == 0, res.stderr
+
+
+def test_harness_does_not_load_refine():
+    res = python("import sys, ncwl.harness; assert 'ncwl.refine' not in sys.modules")
     assert res.returncode == 0, res.stderr
 
 
