@@ -143,8 +143,10 @@ def cmd_gnn_embed(args) -> int:
     g = _read_graph(args.graph)
     num_labels = max(g.labels, default=0) + 1
     n, dim = g.node_count, args.dim
-    # one-hot input, then (with layers) mlp weights, node embeddings, one
-    # row per neighbor (2m) and, for nc, one pair row per neighbor-edge (3T)
+    # one-hot input, then (with layers) mlp weights, node embeddings and one
+    # row per neighbor (2m); for nc the guard also bounds 3T * dim, a row per
+    # neighbor-edge, although the layers hold pair rows only for the edges
+    # in a triangle (at most m) and an index of 3T ids
     sizes = [n * num_labels]
     if args.layers:
         sizes += [num_labels * dim, n * dim, dim * dim, 2 * g.edge_count * dim]

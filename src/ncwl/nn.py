@@ -6,7 +6,10 @@ One layer maps node embeddings H (numpy float64, one row per node) to
                           + sum over neighbor-edges (u1, u2) of MLP2(H[u1] + H[u2]))
 
 dropping the last term yields the plain GIN update, so on triangle-free
-graphs the two forwards are literally the same computation. Edge-featured
+graphs the two forwards are literally the same computation. The pair
+message MLP2(H[u1] + H[u2]) depends on the edge alone, not on the center,
+so MLP2 runs once per edge in a triangle, and each node's pair term sums
+those rows through an index of its neighbor-edges. Edge-featured
 variants apply a rectifier to (neighbor + edge feature) messages and add
 the edge feature into the pair term.
 
@@ -166,10 +169,10 @@ def stack_layers(rng: np.random.Generator, num_labels: int, dim: int, count: int
 def one_hot_features(g: Graph, num_labels: int) -> np.ndarray:
     """Row v is the one-hot encoding of g.labels[v]."""
     out = np.zeros((g.node_count, num_labels))
-    for v, lab in enumerate(g.labels):
-        if lab >= num_labels:
-            raise ValueError(f"label {lab} out of range for num_labels={num_labels}")
-        out[v, lab] = 1.0
+    if g.labels and max(g.labels) >= num_labels:
+        lab = next(lab for lab in g.labels if lab >= num_labels)
+        raise ValueError(f"label {lab} out of range for num_labels={num_labels}")
+    out[np.arange(g.node_count), np.fromiter(g.labels, dtype=np.intp, count=g.node_count)] = 1.0
     return out
 
 
@@ -208,9 +211,12 @@ def _two_sum(a: np.ndarray, b: np.ndarray, t: np.ndarray, z: np.ndarray) -> None
     np.copyto(a, t)
 
 
-def _sum2_cascade(rows: np.ndarray, first: np.ndarray, widths: np.ndarray):
+def _sum2_cascade(
+    rows: np.ndarray, first: np.ndarray, widths: np.ndarray, at: np.ndarray | None = None
+):
     """Column sums of the groups ``rows[first[i] : first[i] + widths[i]]``, widths descending.
 
+    With a gather index ``at`` a group's rows are ``rows[at[first[i] : first[i] + widths[i]]]``.
     All groups advance together, one slot per step: TwoSum folds the slot
     into the sum s and its rounding error e into the correction sigma, and a
     second TwoSum flags every entry whose sigma did not stay exact (Sum2;
@@ -220,9 +226,13 @@ def _sum2_cascade(rows: np.ndarray, first: np.ndarray, widths: np.ndarray):
     magnitude, so neither this cascade nor ``math.fsum`` can overflow; and
     the sum is non-zero, since a zero's sign follows ``math.fsum``'s rule.
     """
+
+    def slot(i: np.ndarray) -> np.ndarray:
+        return rows[i if at is None else at[i]]
+
     # inf, nan and overflow surface as non-finite values, which fail the certificate
     with np.errstate(over="ignore", invalid="ignore"):
-        s = rows[first]
+        s = slot(first)
         sigma = np.zeros_like(s)
         top, bottom = s.copy(), s.copy()
         inexact = np.zeros(s.shape, dtype=bool)
@@ -230,7 +240,7 @@ def _sum2_cascade(rows: np.ndarray, first: np.ndarray, widths: np.ndarray):
         # the groups with more than j rows are the first `active` ones
         running = np.searchsorted(-widths, -np.arange(1, widths[0]), side="left")
         for j, active in enumerate(running.tolist(), start=1):
-            x = rows[first[:active] + j]
+            x = slot(first[:active] + j)
             np.maximum(top[:active], x, out=top[:active])
             np.minimum(bottom[:active], x, out=bottom[:active])
             _two_sum(s[:active], x, t[:active], z[:active])
@@ -241,14 +251,17 @@ def _sum2_cascade(rows: np.ndarray, first: np.ndarray, widths: np.ndarray):
     return hi, bounded & ~inexact & (hi != 0.0)
 
 
-def _grouped_exact_sums(rows: np.ndarray, counts: np.ndarray, dim: int, dtype=float) -> np.ndarray:
+def _grouped_exact_sums(
+    rows: np.ndarray, counts: np.ndarray, dim: int, dtype=float, at: np.ndarray | None = None
+) -> np.ndarray:
     """Row v is the exactly rounded column sums of the next ``counts[v]`` rows of ``rows``.
 
-    Every entry equals ``math.fsum`` of its column, bit for bit, and the
-    same OverflowError or ValueError comes out. Groups up to
-    :func:`_cascade_length` rows go through :func:`_sum2_cascade` at once;
-    the entries it cannot certify, and every longer group, get
-    ``math.fsum``, in (row, column) order.
+    With a gather index ``at`` the rows summed are ``rows[at]``, taken in
+    the same groups, without that copy being made. Every entry equals
+    ``math.fsum`` of its column, bit for bit, and the same OverflowError or
+    ValueError comes out. Groups up to :func:`_cascade_length` rows go
+    through :func:`_sum2_cascade` at once; the entries it cannot certify,
+    and every longer group, get ``math.fsum``, in (row, column) order.
     """
     counts = np.asarray(counts, dtype=np.intp)
     rows = np.asarray(rows, dtype=np.float64)
@@ -260,11 +273,12 @@ def _grouped_exact_sums(rows: np.ndarray, counts: np.ndarray, dim: int, dtype=fl
     short = np.flatnonzero((counts > 0) & (counts <= length))
     if len(short):
         order = short[np.argsort(-counts[short], kind="stable")]
-        hi, exact = _sum2_cascade(rows, starts[order], counts[order])
+        hi, exact = _sum2_cascade(rows, starts[order], counts[order], at)
         out[order] = np.where(exact, hi, 0.0)
         slow[order] = ~exact
     for v, j in zip(*np.nonzero(slow)):
-        out[v, j] = math.fsum(rows[starts[v] : starts[v] + counts[v], j].tolist())
+        group = slice(starts[v], starts[v] + counts[v])
+        out[v, j] = math.fsum(rows[group if at is None else at[group], j].tolist())
     return out
 
 
@@ -342,8 +356,11 @@ def _layer_internals(
 
     Without ``mlp2`` the pair term is dropped (and no neighbor-edge index is
     built); with ``feats`` neighbor messages are rectified and the edge
-    feature joins each pair message. Returns the output and the caches the
-    backward pass needs.
+    feature joins each pair message. MLP2 runs once per edge in a triangle,
+    and each node sums its neighbor-edges' rows through their local ids
+    among those edges. Returns the output and the caches the backward pass
+    needs; the mlp2 cache holds a row per edge in a triangle, plus the
+    local ids that gather it to a row per neighbor-edge.
     """
     if H.ndim != 2 or H.shape[0] != g.node_count:
         raise ValueError(f"feature matrix must have one row per node, got shape {H.shape}")
@@ -355,12 +372,17 @@ def _layer_internals(
         counts, edges = neighbor_edge_arrays(g)
         if len(edges):
             us, vs = _upper_half(*adjacency_arrays(g))
-            Y = H[us] + H[vs]
+            in_triangle = np.zeros(len(us), dtype=bool)
+            in_triangle[edges] = True
+            tri = np.flatnonzero(in_triangle)
+            Y = H[us[tri]] + H[vs[tri]]
             if feats is not None:
-                Y = Y + feats.values  # the neighbor sums found every edge's row
-            Y = Y[edges]  # a row per neighbor-edge; frees the per-edge rows first
-            M, mlp2_cache = mlp2._forward_cached(Y)
-            base = base + _grouped_exact_sums(M, counts, H.shape[1])
+                Y = Y + feats.values[tri]  # the neighbor sums found every edge's row
+            M, cache = mlp2._forward_cached(Y)
+            # each neighbor-edge row's position among the edges in a triangle
+            local = (np.cumsum(in_triangle) - 1)[edges]
+            mlp2_cache = cache, local
+            base = base + _grouped_exact_sums(M, counts, H.shape[1], at=local)
     out, mlp1_cache = mlp1._forward_cached(base)
     return out, (counts, edges, mlp2_cache, mlp1_cache)
 
@@ -420,7 +442,8 @@ def nc_gnn_layer_backward(
     d_H = (1.0 + layer.epsilon) * d_base + _neighbor_sums(g, d_base)
     if len(edges):
         d_M = np.repeat(d_base, counts, axis=0)
-        d_Y, mlp2_grads = layer.mlp2._backward(mlp2_cache, d_M)
+        cache, local = mlp2_cache
+        d_Y, mlp2_grads = layer.mlp2._backward(tuple(a[local] for a in cache), d_M)
         # node w receives d_Y of every neighbor-edge (u1, u2) with w in {u1, u2}
         ends = np.concatenate([side[edges] for side in _upper_half(*adjacency_arrays(g))])
         order = np.argsort(ends, kind="stable")

@@ -12,6 +12,9 @@ the one the compact-forward lister is held to. :func:`check_soundness` and
 :func:`check_hierarchy` are the package's earlier self-checks, which judge
 every pair by its own ``compare`` calls. :func:`backward_input_gradient` is
 the package's earlier input gradient of the layer backward, summed in order.
+:func:`pair_term_forward` and :func:`pair_term_backward` are the package's
+earlier nc layer forward and backward, which copy one pair row per
+neighbor-edge and run MLP2 on every copy.
 :func:`encode_multiset`, :func:`encode_pairwise`, :func:`encode_centered`
 and :func:`decode_multiset` are the package's earlier codec, which sums
 one ``Fraction`` per term and decodes by a ``Fraction`` divmod per
@@ -39,8 +42,8 @@ from ncwl import (
     permute_graph,
     random_gnp,
 )
-from ncwl.graph import MAX_NODE_COUNT, _upper_half, adjacency_arrays
-from ncwl.nn import _layer_internals
+from ncwl.graph import MAX_NODE_COUNT, _upper_half, adjacency_arrays, neighbor_edge_arrays
+from ncwl.nn import NcGnnLayerGrads, _grouped_exact_sums, _layer_internals, _neighbor_sums
 from ncwl.suite import CheckResult, named_stream, run_hierarchy_trial
 
 TupleGraph = tuple[int, tuple[tuple[int, ...], ...], frozenset[tuple[int, int]], tuple[int, ...]]
@@ -258,12 +261,54 @@ def backward_input_gradient(g: Graph, H: np.ndarray, layer, upstream: np.ndarray
     d_base, _ = layer.mlp1._backward(mlp1_cache, upstream)
     d_Y = np.zeros((0, H.shape[1]))
     if len(u1s):
-        d_Y = layer.mlp2._backward(mlp2_cache, np.repeat(d_base, counts, axis=0))[0]
+        cache, local = mlp2_cache
+        d_M = np.repeat(d_base, counts, axis=0)
+        d_Y = layer.mlp2._backward(tuple(a[local] for a in cache), d_M)[0]
     d_self = (1.0 + layer.epsilon) * d_base
     return (
         _ordered_input_gradient(g, d_self, d_base, u1s, u2s, d_Y),
         _ordered_input_gradient(g, np.abs(d_self), np.abs(d_base), u1s, u2s, np.abs(d_Y)),
     )
+
+
+def _pair_term_internals(g: Graph, H: np.ndarray, layer, feats=None):
+    base = (1.0 + layer.epsilon) * H + _neighbor_sums(g, H, feats)
+    counts, edges = neighbor_edge_arrays(g)
+    mlp2_cache = None
+    if len(edges):
+        us, vs = _upper_half(*adjacency_arrays(g))
+        Y = H[us] + H[vs]
+        if feats is not None:
+            Y = Y + feats.values
+        M, mlp2_cache = layer.mlp2._forward_cached(Y[edges])
+        base = base + _grouped_exact_sums(M, counts, H.shape[1])
+    out, mlp1_cache = layer.mlp1._forward_cached(base)
+    return out, (counts, edges, mlp2_cache, mlp1_cache)
+
+
+def pair_term_forward(g: Graph, H: np.ndarray, layer, feats=None) -> np.ndarray:
+    """The earlier ``nc_gnn_layer_forward`` (or ``_edgefeat`` with ``feats``):
+    ``Y[edges]`` copies a pair row per neighbor-edge, MLP2 runs on each copy,
+    and each node's copies are summed exactly."""
+    return _pair_term_internals(g, H, layer, feats)[0]
+
+
+def pair_term_backward(g: Graph, H: np.ndarray, layer, upstream: np.ndarray):
+    """The earlier ``nc_gnn_layer_backward``, over the caches of :func:`pair_term_forward`."""
+    _, (counts, edges, mlp2_cache, mlp1_cache) = _pair_term_internals(g, H, layer)
+    d_base, mlp1_grads = layer.mlp1._backward(mlp1_cache, upstream)
+    d_eps = float((d_base * H).sum())
+    d_H = (1.0 + layer.epsilon) * d_base + _neighbor_sums(g, d_base)
+    if len(edges):
+        d_Y, mlp2_grads = layer.mlp2._backward(mlp2_cache, np.repeat(d_base, counts, axis=0))
+        ends = np.concatenate([side[edges] for side in _upper_half(*adjacency_arrays(g))])
+        order = np.argsort(ends, kind="stable")
+        d_H = d_H + _grouped_exact_sums(
+            np.concatenate((d_Y, d_Y))[order], np.bincount(ends, minlength=len(H)), H.shape[1]
+        )
+    else:
+        mlp2_grads = layer.mlp2.zero_grads()
+    return d_H, NcGnnLayerGrads(mlp1=mlp1_grads, mlp2=mlp2_grads, epsilon=d_eps)
 
 
 def lexsort_dense_ids(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -32,6 +33,7 @@ from ncwl import (
     one_hot_features,
     path_graph,
     permute_graph,
+    random_gnm,
     random_gnp,
     readout_sum,
     refine,
@@ -39,6 +41,7 @@ from ncwl import (
     stack_layers,
     stats,
 )
+from ncwl.graph import neighbor_edge_arrays
 from ncwl.harness import seeded_rng
 from ncwl.nn import _cascade_length, _grouped_exact_sums
 
@@ -76,6 +79,10 @@ class TestOneHot:
     def test_label_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             one_hot_features(path_graph(2, [0, 2]), 2)
+
+    def test_names_the_first_label_out_of_range(self):
+        with pytest.raises(ValueError, match=r"^label 3 out of range for num_labels=2$"):
+            one_hot_features(path_graph(4, [0, 3, 2**70, 5]), 2)
 
 
 class TestForward:
@@ -150,6 +157,24 @@ class TestForward:
         g = Graph.build(1, [])
         out = nc_gnn_layer_forward(g, np.array([[2.0]]), identity_layer(1, epsilon=0.5))
         assert np.array_equal(out, np.array([[3.0]]))
+
+
+    def test_forward_holds_no_array_of_a_row_per_neighbor_edge(self):
+        # MLP2 and its caches take a row per edge in a triangle, and the pair
+        # sums read them through an index. About 13 MiB at the time of writing,
+        # 55 MiB while the layer copied a pair row per neighbor-edge.
+        g = random_gnm(random.Random("pair-term-memory"), 700, 19600)
+        dim = 16
+        layer = init_layer(seeded_rng(0, "pair-term-memory"), dim, dim)
+        H = seeded_rng(1, "pair-term-memory").normal(size=(g.node_count, dim))
+        tracemalloc.start()
+        try:
+            nc_gnn_layer_forward(g, H, layer)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        one_array = len(neighbor_edge_arrays(g)[1]) * dim * 8
+        assert peak < 2 * one_array
 
 
 class TestEdgeFeatured:
@@ -261,17 +286,31 @@ def fsum_reference(rows: np.ndarray, counts, dim: int) -> np.ndarray:
     return out
 
 
-def assert_matches_fsum(rows, counts, dim: int) -> None:
-    """Same bytes as fsum_reference, or the same exception type."""
+def assert_matches_fsum(rows, counts, dim: int, at=None) -> None:
+    """Same bytes as fsum_reference, or the same exception type.
+
+    With a gather index ``at`` the sums read ``rows[at]`` through it, and
+    must also equal the call on that copy.
+    """
     rows = np.asarray(rows, dtype=float).reshape(-1, dim)
+    counts = np.array(counts, dtype=np.intp)
+    calls = [lambda: _grouped_exact_sums(rows, counts, dim)]
+    if at is not None:
+        at = np.array(at, dtype=np.intp)
+        calls = [
+            lambda: _grouped_exact_sums(rows, counts, dim, at=at),
+            lambda: _grouped_exact_sums(rows[at], counts, dim),
+        ]
     try:
-        expected = fsum_reference(rows, counts, dim)
+        expected = fsum_reference(rows if at is None else rows[at], counts.tolist(), dim)
     except (OverflowError, ValueError) as exc:
-        with pytest.raises(type(exc)):
-            _grouped_exact_sums(rows, np.array(counts, dtype=np.intp), dim)
+        for call in calls:
+            with pytest.raises(type(exc)):
+                call()
         return
-    got = _grouped_exact_sums(rows, np.array(counts, dtype=np.intp), dim)
-    assert got.tobytes() == expected.tobytes(), (got, expected)
+    for call in calls:
+        got = call()
+        assert got.tobytes() == expected.tobytes(), (got, expected)
 
 
 BIG = float(np.finfo(float).max)
@@ -288,10 +327,16 @@ class TestGroupedExactSums:
         counts = data.draw(st.lists(st.integers(0, 7), max_size=8))
         values = st.one_of(st.floats(), st.sampled_from(SPECIAL))
         flat = data.draw(st.lists(values, min_size=sum(counts) * dim, max_size=sum(counts) * dim))
+        # and the groups of rows[at], read through a gather index with repeats
+        stored = data.draw(st.integers(1, 8))
+        rows = data.draw(st.lists(values, min_size=stored * dim, max_size=stored * dim))
+        at = data.draw(st.lists(st.integers(0, stored - 1), min_size=sum(counts), max_size=sum(counts)))
         assert_matches_fsum(flat, counts, dim)
+        assert_matches_fsum(rows, counts, dim, at)
         # and with every group in the cascade, whatever its cost
         with mock.patch("ncwl.nn._cascade_length", lambda counts, dim: max(counts, default=0)):
             assert_matches_fsum(flat, counts, dim)
+            assert_matches_fsum(rows, counts, dim, at)
 
     @pytest.mark.parametrize(
         "groups",
@@ -467,6 +512,44 @@ class TestBackward:
             terms = 1 + s.max_degree + 2 * s.triangle_count
             bound = 2 * terms * np.finfo(float).eps * magnitude
             assert np.all(np.abs(d_H - ordered) <= bound), t
+
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([1, 2, 16]))
+    @settings(max_examples=60, deadline=None)
+    def test_pair_term_matches_a_row_per_neighbor_edge_bit_for_bit(self, seed, dim):
+        # MLP2 runs once per edge in a triangle; the earlier layer ran it on
+        # a copy of the pair row per neighbor-edge. A pendant path keeps some
+        # edges out of every triangle, and relabeling spreads them among the
+        # edge ids.
+        rng = random.Random(seed)
+        gen = seeded_rng(seed, "pair-term")
+        g, _ = disjoint_union(
+            random_gnp(rng, rng.randint(3, 30), rng.uniform(0.2, 0.9)), path_graph(rng.randint(2, 5))
+        )
+        perm = list(range(g.node_count))
+        rng.shuffle(perm)
+        g = permute_graph(g, perm)
+        assert len(np.unique(neighbor_edge_arrays(g)[1])) < g.edge_count
+        layer = init_layer(gen, dim, dim)
+        layer.epsilon = float(gen.uniform(-0.5, 0.5))
+        H = gen.normal(size=(g.node_count, dim))
+        feats = EdgeFeatures(g, gen.normal(size=(g.edge_count, dim)))
+        upstream = gen.normal(size=(g.node_count, dim))
+
+        def same(a, b):
+            return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+        assert same(nc_gnn_layer_forward(g, H, layer), reference.pair_term_forward(g, H, layer))
+        assert same(
+            nc_gnn_layer_forward_edgefeat(g, H, feats, layer),
+            reference.pair_term_forward(g, H, layer, feats),
+        )
+        d_H, grads = nc_gnn_layer_backward(g, H, layer, upstream)
+        ref_d_H, ref_grads = reference.pair_term_backward(g, H, layer, upstream)
+        assert same(d_H, ref_d_H)
+        assert same(grads.epsilon, ref_grads.epsilon)
+        for mine, theirs in ((grads.mlp1, ref_grads.mlp1), (grads.mlp2, ref_grads.mlp2)):
+            for name in ("w1", "b1", "w2", "b2"):
+                assert same(getattr(mine, name), getattr(theirs, name)), name
 
     def test_upstream_shape_checked(self):
         gen = np.random.default_rng(1)
