@@ -12,7 +12,6 @@ loads numpy, so OpenBLAS starts no worker thread to compete with them;
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from importlib import import_module
@@ -57,6 +56,39 @@ MAX_EMBED_ARRAY_ENTRIES = 2**25
 #: Largest injectivity sweep ``codec-check`` may run, in objects built:
 #: the pair universe plus every pairwise and centered encoding.
 MAX_CODEC_SWEEP = 300_000
+#: Largest count a guard message prints in full. A guard counts no further
+#: and prints a larger count as "more than" this, so no flag value makes it
+#: compute or print a number of thousands of digits.
+_COUNT_CEILING = 10**18
+
+
+def _count(value: int) -> str:
+    """``value`` in digits, or "more than" :data:`_COUNT_CEILING` above it."""
+    return str(value) if value <= _COUNT_CEILING else f"more than {_COUNT_CEILING}"
+
+
+def _capped_comb(n: int, k: int) -> int:
+    """``math.comb(n, k)``, or ``_COUNT_CEILING + 1`` if that is larger."""
+    k = min(k, n - k)
+    value = 1
+    for i in range(1, k + 1):
+        # comb(n - k + i, i), which grows with i
+        value = value * (n - k + i) // i
+        if value > _COUNT_CEILING:
+            return _COUNT_CEILING + 1
+    return value
+
+
+def _sweep_size(alphabet: int, max_card: int) -> int:
+    """The objects the injectivity sweep builds (the pair universe plus every
+    pairwise and centered encoding), or ``_COUNT_CEILING + 1`` if more."""
+    cap = _COUNT_CEILING + 1
+    pairs = alphabet * (alphabet + 1) // 2
+    # every factor is at least 1, so a product past the ceiling stays past it
+    encodings = min(alphabet + 1, cap)
+    for n in (alphabet + max_card, pairs + max_card):
+        encodings = min(encodings * _capped_comb(n, max_card), cap)
+    return min(pairs + encodings, cap)
 
 
 def _read_graph(path: str):
@@ -155,16 +187,18 @@ def cmd_gnn_embed(args) -> int:
             sizes.append(_neighbor_edge_total(g, MAX_EMBED_ARRAY_ENTRIES // dim) * dim)
     if max(sizes) > MAX_EMBED_ARRAY_ENTRIES:
         raise ValueError(
-            f"an array of {max(sizes)} entries (nodes={n}, edges={g.edge_count}, "
-            f"labels={num_labels}, dim={dim}) exceeds the limit of {MAX_EMBED_ARRAY_ENTRIES}"
+            f"an array of {_count(max(sizes))} entries (nodes={_count(n)}, "
+            f"edges={_count(g.edge_count)}, labels={_count(num_labels)}, dim={_count(dim)}) "
+            f"exceeds the limit of {MAX_EMBED_ARRAY_ENTRIES}"
         )
     # a layer from width w holds mlp1 (w -> dim -> dim) and mlp2 (w -> w -> w)
     per_layer = [w * dim + dim * dim + 2 * dim + 2 * w * w + 2 * w for w in (num_labels, dim)]
     params = per_layer[0] + (args.layers - 1) * per_layer[1] if args.layers else 0
     if params > MAX_EMBED_ARRAY_ENTRIES:
         raise ValueError(
-            f"the layers' {params} parameter entries (layers={args.layers}, labels={num_labels}, "
-            f"dim={dim}) exceed the limit of {MAX_EMBED_ARRAY_ENTRIES}"
+            f"the layers' {_count(params)} parameter entries (layers={_count(args.layers)}, "
+            f"labels={_count(num_labels)}, dim={_count(dim)}) exceed the limit of "
+            f"{MAX_EMBED_ARRAY_ENTRIES}"
         )
     layers = stack_layers(seeded_rng(args.seed, "gnn-embed"), num_labels, args.dim, args.layers)
     vec = embed_graph(g, layers, num_labels, variant=args.variant)
@@ -182,19 +216,16 @@ def cmd_codec_check(args) -> int:
     base = args.base if args.base is not None else 2 * required + 3
     if base <= required:
         print(
-            f"error: base {base} too small: need base > {required} "
-            f"for multisets of cardinality up to {args.max_card}",
+            f"error: base {_count(base)} too small: need base > {_count(required)} "
+            f"for multisets of cardinality up to {_count(args.max_card)}",
             file=sys.stderr,
         )
         return 2
-    pairs = args.alphabet * (args.alphabet + 1) // 2
-    sweep = pairs + (args.alphabet + 1) * math.comb(
-        args.alphabet + args.max_card, args.max_card
-    ) * math.comb(pairs + args.max_card, args.max_card)
+    sweep = _sweep_size(args.alphabet, args.max_card)
     if sweep > MAX_CODEC_SWEEP:
         print(
-            f"error: --alphabet {args.alphabet} --max-card {args.max_card} sweep builds "
-            f"{sweep} objects, over the limit of {MAX_CODEC_SWEEP}",
+            f"error: --alphabet {_count(args.alphabet)} --max-card {_count(args.max_card)} "
+            f"sweep builds {_count(sweep)} objects, over the limit of {MAX_CODEC_SWEEP}",
             file=sys.stderr,
         )
         return 2

@@ -54,10 +54,10 @@ import numpy as np
 
 #: Largest node count a graph may have. Checked before anything is allocated
 #: for it, so a two-line file cannot ask for billions of adjacency lists.
-#: At the limit, ``ncwl stats`` on the file ``4194304 0`` takes 0.7 s and
-#: peaks at 194 MiB RSS, ``ncwl refine`` 2.2 s and 394 MiB (2 vCPUs, Python
-#: 3.11, numpy 2.4); when graphs were built as Python lists, 3.9 s and 361
-#: MiB, 5.7 s and 460 MiB.
+#: At the limit, ``ncwl stats`` on the file ``4194304 0`` takes 0.5-0.6 s
+#: and peaks at 189 MiB RSS, ``ncwl refine`` 0.9-1.1 s and 354 MiB (2 vCPUs,
+#: Python 3.11, numpy 2.4); when graphs were built as Python lists, 3.9 s and
+#: 361 MiB, 5.7 s and 460 MiB.
 MAX_NODE_COUNT = 2**22
 
 class GraphFormatError(ValueError):
@@ -587,15 +587,18 @@ def disjoint_union(g1: Graph, g2: Graph) -> tuple[Graph, int]:
 
 
 def _union(graphs: Sequence[Graph]) -> Graph:
-    """The disjoint union of one or more ``graphs``, each shifted past the earlier ones."""
+    """The disjoint union of ``graphs``, each shifted past the earlier ones.
+
+    The union of no graphs is the empty graph.
+    """
     sizes = [g.node_count for g in graphs]
     n = sum(sizes)
     if n > MAX_NODE_COUNT:
         raise ValueError(f"node_count {n} exceeds the limit of {MAX_NODE_COUNT}")
     starts = np.cumsum([0] + sizes, dtype=np.intp)[:-1]
     # the inputs are valid graphs, so the concatenated arrays are one
-    degrees = np.concatenate([g.degrees for g in graphs])
-    neighbors = np.concatenate([g.neighbors for g in graphs])
+    degrees = np.concatenate([np.zeros(0, np.intp), *(g.degrees for g in graphs)])
+    neighbors = np.concatenate([np.zeros(0, np.intp), *(g.neighbors for g in graphs)])
     neighbors += np.repeat(starts, [len(g.neighbors) for g in graphs])
     labels = tuple(chain.from_iterable(g.labels for g in graphs))
     return Graph(n, labels, _frozen(degrees), _frozen(neighbors))

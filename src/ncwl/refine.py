@@ -61,7 +61,9 @@ Where only the verdicts of many pairs are wanted, as in the self-check
 suite, :func:`_verdicts` judges every method in joint runs over many pairs
 and reads each pair's verdict off the final colors: the node methods over
 the union of every graph of a chunk of pairs, the tuple methods in one run
-per node count.
+per node count. The suite's triangle-free check likewise refines one union
+of all its graphs per method and compares each graph's slices of the two
+runs as partitions, round by round.
 """
 
 from __future__ import annotations
@@ -507,10 +509,13 @@ def _rounds(step: Callable[[np.ndarray | None], np.ndarray]) -> Iterator[np.ndar
 
 #: Smallest graph (the union in ``compare``) whose node methods relabel by
 #: sorting; smaller ones intern. The sort engine's fixed numpy cost per run
-#: outweighs interning on tiny graphs. CPU time per joint run of two G(n, p),
-#: interning vs sorting, 2 vCPUs: unions of 10 nodes 27-69 vs 97-191 us, 20
-#: nodes 97-215 vs 206-272 us, 40 nodes 231-814 vs 242-403 us, 80 nodes
-#: 390-7866 vs 320-2084 us, over p in {0.15, 0.5} and both methods.
+#: outweighs interning on tiny graphs. What still reaches the interning
+#: engine: the suite's corpus check (one ``compare`` per entry and method),
+#: :func:`_verdicts` chunks of under 32 nodes (``ncwl suite --random-pairs
+#: 1``) and library calls on tiny graphs. CPU time per joint run of two
+#: G(n, p), interning vs sorting, 2 vCPUs: unions of 10 nodes 27-69 vs
+#: 97-191 us, 20 nodes 97-215 vs 206-272 us, 40 nodes 231-814 vs 242-403 us,
+#: 80 nodes 390-7866 vs 320-2084 us, over p in {0.15, 0.5} and both methods.
 _SORT_MIN_NODES = 32
 
 

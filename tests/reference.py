@@ -10,7 +10,9 @@ groups equal key columns by one ``np.lexsort`` of the key rows.
 :func:`merge_neighbor_edges` is the package's earlier neighbor-edge lister,
 the one the compact-forward lister is held to. :func:`check_soundness` and
 :func:`check_hierarchy` are the package's earlier self-checks, which judge
-every pair by its own ``compare`` calls. :func:`backward_input_gradient` is
+every pair by its own ``compare`` calls, and
+:func:`check_triangle_free_degeneracy` the earlier one that refines every
+graph on its own. :func:`backward_input_gradient` is
 the package's earlier input gradient of the layer backward, summed in order.
 :func:`pair_term_forward` and :func:`pair_term_backward` are the package's
 earlier nc layer forward and backward, which copy one pair row per
@@ -41,6 +43,8 @@ from ncwl import (
     compare,
     permute_graph,
     random_gnp,
+    refine_1wl,
+    refine_nc1wl,
 )
 from ncwl.graph import MAX_NODE_COUNT, _upper_half, adjacency_arrays, neighbor_edge_arrays
 from ncwl.nn import NcGnnLayerGrads, _grouped_exact_sums, _layer_internals, _neighbor_sums
@@ -235,6 +239,24 @@ def check_hierarchy(seed: int, pairs: int) -> CheckResult:
             failures.append(f"pair {t}: {problem}")
     detail = "; ".join(failures[:5]) if failures else f"{pairs} random pairs, no violations"
     return CheckResult("hierarchy", not failures, detail)
+
+
+def check_triangle_free_degeneracy(seed: int, graphs: int = 25) -> CheckResult:
+    """The earlier ``suite.check_triangle_free_degeneracy``: each graph refined
+    on its own under both node methods, and the color sequences compared."""
+    rng = named_stream(seed, "triangle-free")
+    failures = []
+    for t in range(graphs):
+        n = rng.randint(2, 12)
+        left = rng.randint(1, n - 1)
+        edges = [
+            (i, j) for i in range(left) for j in range(left, n) if rng.random() < 0.5
+        ]
+        g = Graph.build(n, edges)
+        if [c.colors for c in refine_1wl(g)] != [c.colors for c in refine_nc1wl(g)]:
+            failures.append(f"graph {t}: sequences diverge")
+    detail = "; ".join(failures[:5]) if failures else f"{graphs} triangle-free graphs"
+    return CheckResult("triangle-free-degeneracy", not failures, detail)
 
 
 def _ordered_input_gradient(g: Graph, d_self, d_base, u1s, u2s, d_Y):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import math
 import os
 import random
 import shlex
@@ -285,6 +286,16 @@ class TestCodecCheckCommand:
         assert "Traceback" not in res.stderr
         assert res.stdout == ""
 
+    def test_the_sweep_is_counted_exactly_up_to_the_ceiling(self):
+        ceiling = ncwl.cli._COUNT_CEILING
+        for alphabet in range(1, 40):
+            for max_card in range(0, 12):
+                pairs = alphabet * (alphabet + 1) // 2
+                exact = pairs + (alphabet + 1) * math.comb(
+                    alphabet + max_card, max_card
+                ) * math.comb(pairs + max_card, max_card)
+                assert ncwl.cli._sweep_size(alphabet, max_card) == min(exact, ceiling + 1)
+
     def test_benchmark_sweep_passes(self):
         res = run_cli("codec-check", "--alphabet", "4", "--max-card", "2")
         assert res.returncode == 0
@@ -362,6 +373,52 @@ def test_out_of_range_flag_values_exit_2(files, argv):
     assert res.returncode == 2, res.stdout + res.stderr
     assert "Traceback" not in res.stderr
     assert argv[-2] in res.stderr
+
+
+_HUGE = "9" * 2200
+_MORE = "more than 1000000000000000000"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("codec-check", "--alphabet", "1000000", "--max-card", "1000000"),
+            f"--alphabet 1000000 --max-card 1000000 sweep builds {_MORE} objects, "
+            "over the limit of 300000",
+        ),
+        (
+            ("codec-check", "--alphabet", "100000", "--max-card", "100000"),
+            f"--alphabet 100000 --max-card 100000 sweep builds {_MORE} objects, "
+            "over the limit of 300000",
+        ),
+        (
+            ("codec-check", "--alphabet", "1000", "--max-card", "1000"),
+            f"--alphabet 1000 --max-card 1000 sweep builds {_MORE} objects, "
+            "over the limit of 300000",
+        ),
+        (
+            ("gnn-embed", "GRAPH", "--dim", _HUGE),
+            f"an array of {_MORE} entries (nodes=3, edges=2, labels=1, dim={_MORE}) "
+            "exceeds the limit of 33554432",
+        ),
+        (
+            ("gnn-embed", "GRAPH", "--layers", _HUGE),
+            f"the layers' {_MORE} parameter entries (layers={_MORE}, labels=1, dim=8) "
+            "exceed the limit of 33554432",
+        ),
+    ],
+    ids=["codec-1e6", "codec-1e5", "codec-1e3", "embed-dim", "embed-layers"],
+)
+def test_guards_refuse_huge_flags_quickly_by_name(files, argv, message):
+    # the sweep size was once computed in full: the 1e6 flags ran for minutes,
+    # and the 1e5 flags and a 2200-digit dim failed in Python's int-to-str limit
+    start = time.perf_counter()
+    res = run_cli(*(files["p3"] if arg == "GRAPH" else arg for arg in argv))
+    elapsed = time.perf_counter() - start
+    assert res.returncode == 2, res.stderr
+    assert (res.stdout, res.stderr) == ("", f"error: {message}\n")
+    assert elapsed < 5.0
 
 
 @pytest.mark.parametrize(

@@ -1,15 +1,19 @@
-"""The suite's joint verdict runs against one ``compare`` per pair.
+"""The suite's joint runs against one ``compare`` or ``refine`` per graph.
 
 ``ncwl.refine._verdicts`` refines the graphs of many pairs in joint runs
 under every method; every verdict must equal the pair's own ``compare``,
 and the suite checks built on it must return what the earlier per-pair
-checks in ``reference`` return, failures included.
+checks in ``reference`` return, failures included. The triangle-free check
+refines one union of its graphs per method and must return what the
+earlier per-graph check returns.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from importlib import import_module
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -18,9 +22,9 @@ from hypothesis import strategies as st
 
 import ncwl.suite
 import reference
-from ncwl import METHODS, Graph, compare, permute_graph, random_gnp
+from ncwl import METHODS, Graph, compare, permute_graph, random_gnp, stats
 from ncwl.refine import _VERDICT_CHUNK, _verdicts
-from ncwl.suite import check_hierarchy, check_soundness
+from ncwl.suite import CheckResult, check_hierarchy, check_soundness, check_triangle_free_degeneracy
 
 from conftest import graphs, permutations_of
 
@@ -133,3 +137,51 @@ def test_suite_checks_across_one_full_chunk():
     count = _VERDICT_CHUNK + 1
     assert check_soundness(0, count) == reference.check_soundness(0, count)
     assert check_hierarchy(0, count) == reference.check_hierarchy(0, count)
+
+
+def add_triangles(monkeypatch, picked) -> list[Graph]:
+    """Make ``Graph.build`` in the suite and in ``reference`` add the triangle
+    0-1-2 to every graph of 3 or more nodes whose draw index, counted from 0
+    in each module, ``picked`` accepts; returns the suite's graphs as built."""
+    built = []
+    for module in (ncwl.suite, reference):
+        draws = itertools.count()
+
+        def build(n, edges, labels=None, draws=draws, module=module):
+            if picked(next(draws)) and n >= 3:
+                edges = sorted({*edges, (0, 1), (1, 2), (0, 2)})
+            g = Graph.build(n, edges, labels)
+            if module is ncwl.suite:
+                built.append(g)
+            return g
+
+        monkeypatch.setattr(module, "Graph", SimpleNamespace(build=build))
+    return built
+
+
+@pytest.mark.parametrize("sort_min_nodes", [32, 0])
+@pytest.mark.parametrize("faulty", [False, True], ids=["sound", "faulty"])
+@pytest.mark.parametrize("seed", range(4))
+def test_triangle_free_check_equals_the_per_graph_check(monkeypatch, seed, faulty, sort_min_nodes):
+    # at 0 the per-graph runs sort too; the union of 25 graphs sorts either way
+    monkeypatch.setattr(refine_module, "_SORT_MIN_NODES", sort_min_nodes)
+    if faulty:
+        # both modules draw the same graphs, so their draw counts stay equal
+        add_triangles(monkeypatch, lambda t: t % 3 == 0)
+    for graphs in (0, 1, 2, 25):
+        result = check_triangle_free_degeneracy(seed, graphs)
+        assert result == reference.check_triangle_free_degeneracy(seed, graphs)
+    assert result.passed is not faulty
+
+
+@pytest.mark.parametrize("sort_min_nodes", [32, 0])
+def test_a_triangle_that_splits_no_partition_is_not_flagged(monkeypatch, sort_min_nodes):
+    # graph 3 of the seed-0 draw has 4 nodes; with the triangle, its own 1wl and
+    # nc1wl runs give equal partitions, although its slices of the union's 1wl
+    # and nc1wl colors hold different ids
+    monkeypatch.setattr(refine_module, "_SORT_MIN_NODES", sort_min_nodes)
+    built = add_triangles(monkeypatch, lambda t: t == 3)
+    passed = CheckResult("triangle-free-degeneracy", True, "25 triangle-free graphs")
+    assert check_triangle_free_degeneracy(0) == passed
+    assert reference.check_triangle_free_degeneracy(0) == passed
+    assert [t for t, g in enumerate(built) if stats(g).triangle_count] == [3]
