@@ -182,8 +182,10 @@ def cmd_gnn_embed(args) -> int:
     sizes = [n * num_labels]
     if args.layers:
         sizes += [num_labels * dim, n * dim, dim * dim, 2 * g.edge_count * dim]
-        if args.variant == "nc":
-            # exact wherever it could exceed the limit, so the message names it
+        # 3T is counted only when every other size fits, so a refusal they
+        # settle counts no triangle; exact wherever it could exceed the
+        # limit, so the message names it
+        if args.variant == "nc" and max(sizes) <= MAX_EMBED_ARRAY_ENTRIES:
             sizes.append(_neighbor_edge_total(g, MAX_EMBED_ARRAY_ENTRIES // dim) * dim)
     if max(sizes) > MAX_EMBED_ARRAY_ENTRIES:
         raise ValueError(

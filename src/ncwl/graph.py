@@ -10,6 +10,14 @@ The edge-list text format understood by :func:`parse_edge_list`:
 * lines starting with ``#`` are comments; blank lines are ignored;
   LF and CRLF both accepted
 
+The parser has two tokenizers, chosen by the text's bytes. Plain text
+holds only ASCII digits, spaces, tabs, LF and CR, two ids of at most 18
+digits on each line that is not blank, and exactly the header's edge count
+of edge lines (no comment, no label section); numpy reads it from its bytes
+(:func:`_plain_edge_list`), as ``int`` would. Every other text, and plain
+text whose edges the arrays refuse, is read line by line, and only that
+path names an error's line.
+
 A graph stores its adjacency as two read-only intp arrays in CSR form,
 ``degrees`` and ``neighbors`` (every node's sorted neighbor list,
 concatenated; :func:`adjacency_arrays`), next to ``node_count`` and the
@@ -34,11 +42,12 @@ Concurrent first calls compute equal values.
 The index comes from compact-forward triangle listing: nodes ranked by
 (degree, id), each edge oriented towards the higher rank, and the wedges
 inside each out-list closed by an oriented edge, tested in blocks of a
-fixed wedge budget. Its time is O(m sqrt(m)) whatever the largest degree.
-One in-place sort of int64 corner codes orders it, then each code becomes
-its row's edge id, in 16.5 bytes per row: about 17 ms for G(700, 19600),
-0.55 s for K_300 (13.4M rows) on 2 vCPUs. Above
-:data:`MAX_NEIGHBOR_EDGES` rows it raises ValueError.
+fixed wedge budget; a bool table of the edge keys' hash slots turns away
+most open wedges before the binary search. Its time is O(m sqrt(m))
+whatever the largest degree. One in-place sort of int64 corner codes
+orders it, then each code becomes its row's edge id, in 16.5 bytes per
+row: about 12 ms for G(700, 19600), 0.6-0.7 s for K_300 (13.4M rows) on 2
+vCPUs. Above :data:`MAX_NEIGHBOR_EDGES` rows it raises ValueError.
 """
 
 from __future__ import annotations
@@ -129,6 +138,61 @@ def _parsed_pairs(lines: list[str]) -> np.ndarray | None:
     except (ValueError, OverflowError):
         return None
     return flat.reshape(-1, 2)
+
+
+#: The byte tokenizer's classes (:func:`_plain_edge_list`): 1 for an ASCII
+#: digit, 2 for a space or tab, 3 for a line break (LF or CR), 0 for any
+#: other byte, which sends the text to the line path.
+_BYTE_KINDS = np.zeros(256, dtype=np.uint8)
+_BYTE_KINDS[list(b"0123456789")] = 1
+_BYTE_KINDS[list(b" \t")] = 2
+_BYTE_KINDS[list(b"\n\r")] = 3
+
+#: Most digits of an id the byte tokenizer reads: 10**18 - 1 fits in int64.
+_PLAIN_DIGITS = 18
+
+
+def _plain_edge_list(text: str) -> tuple[int, np.ndarray] | None:
+    """(node_count, (m, 2) int64 edge pairs) of a plain edge list, from its bytes.
+
+    Plain text holds only ASCII digits, spaces, tabs and line breaks (LF,
+    CR); each line that is not blank holds two tokens of at most
+    :data:`_PLAIN_DIGITS` digits; and those lines are the header, with a
+    node count of at most :data:`MAX_NODE_COUNT`, plus exactly its edge
+    count of edge lines. ``int`` reads such a token as the decimal value of
+    its digits, which is the value computed here, so the pairs are the
+    ones the line path reads. None for any other text.
+    """
+    if not text.isascii():
+        return None
+    buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    kinds = _BYTE_KINDS[buf]
+    if not kinds.all():
+        return None
+    # a token starts where a digit follows a non-digit and ends where a non-digit follows one
+    bounds = np.flatnonzero(np.diff(kinds == 1, prepend=False, append=False))
+    starts, ends = bounds[0::2], bounds[1::2]
+    lengths = ends - starts
+    if len(starts) < 2 or len(starts) % 2:
+        return None
+    width = int(lengths.max())
+    if width > _PLAIN_DIGITS:
+        return None
+    # each token's line, as the number of line breaks before it: two tokens a line
+    lines = np.searchsorted(np.flatnonzero(kinds == 3), starts).reshape(-1, 2)
+    if (lines[:, 0] != lines[:, 1]).any() or (lines[1:, 0] == lines[:-1, 1]).any():
+        return None
+    # Horner over the digit positions, aligned at each token's end; positions
+    # before a token's first digit add nothing to its value of 0
+    digits = buf - ord("0")
+    values = np.zeros(len(starts), dtype=np.int64)
+    for j in range(width, 0, -1):
+        values *= 10
+        values += np.where(lengths >= j, digits.take(ends - j, mode="clip"), 0)
+    node_count, edge_count = int(values[0]), int(values[1])
+    if node_count > MAX_NODE_COUNT or edge_count != len(lines) - 1:
+        return None
+    return node_count, values[2:].reshape(-1, 2)
 
 
 def _validated_csr(node_count: int, pairs: np.ndarray | None):
@@ -309,7 +373,18 @@ def parse_edge_list(text: str) -> Graph:
 
     Raises :class:`GraphFormatError` with a 1-based line number for malformed
     lines, self-loops, duplicate edges, and out-of-range node ids.
+
+    Plain text (:func:`_plain_edge_list`) whose edges the arrays accept is
+    read from its bytes; all other text line by line, which is the only
+    path that names an error's line.
     """
+    plain = _plain_edge_list(text)
+    if plain is not None:
+        node_count, pairs = plain
+        csr = _validated_csr(node_count, pairs)
+        if csr is not None:
+            return Graph(node_count, (0,) * node_count, *csr)
+
     stripped = list(map(str.strip, text.splitlines()))
     keep = [bool(line) and line[0] != "#" for line in stripped]
     # the non-comment, non-blank lines, stripped, and their 1-based line numbers
@@ -451,6 +526,12 @@ def neighbor_edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
 #: 13.3 MiB in blocks of 2**16 and at 127 MiB unblocked.
 _WEDGE_BLOCK = 2**16
 
+#: Fewest wedges for which compact-forward builds its hash table of the
+#: edge keys. Below this the table's numpy calls cost more than the binary
+#: searches they save: per G(n, p), 68 vs 61 us at 19 wedges (n = 10),
+#: 103 vs 101 us at 282 (n = 30), 126 vs 132 us at 629 (n = 50).
+_TABLE_MIN_WEDGES = 512
+
 #: Largest neighbor-edge index (3T rows, one per triangle corner) a graph
 #: may have. nc1wl ``refine`` holds about 27 bytes per row: 368 MiB peak on
 #: K_300 (3T = 13.4M), so about 460 MiB at the limit.
@@ -504,6 +585,14 @@ def _forward_triangles(degrees: np.ndarray, neighbors: np.ndarray) -> Iterator[n
     a code ``center * m + e`` per corner of the triangles it closed, e the
     opposite edge's index in :func:`_upper_half` (exact: n * m < 2**63 for
     any graph that fits in memory).
+
+    A wedge closes when its closing key b * n + c is an edge key, which a
+    binary search over the sorted keys decides. Most wedges of a sparse
+    graph stay open (91 % in G(700, 19600)), so a block's closing keys are
+    first looked up in a bool table holding the :func:`_key_slots` of the
+    edge keys, and only the wedges whose slot is set are searched. A graph
+    of fewer than :data:`_TABLE_MIN_WEDGES` wedges has no table, and a
+    block that follows one which closed more than half its wedges skips it.
     """
     n = len(degrees)
     order = np.argsort(degrees, kind="stable")  # rank -> node id
@@ -525,7 +614,14 @@ def _forward_triangles(degrees: np.ndarray, neighbors: np.ndarray) -> Iterator[n
     wedge_ends = np.cumsum(later)
     # wedge w, numbered over all edges, pairs first arm e with edge w + shift[e]
     shift = np.arange(1, m + 1) - wedge_ends + later
-    start = 0
+    # the keys' slots in a table of 8 to 16 per edge: a closing key whose
+    # slot is unset is no edge, so only the wedges with a set slot are searched
+    use_table = m > 0 and wedge_ends[-1] >= _TABLE_MIN_WEDGES
+    if use_table:
+        slot_shift = 61 - m.bit_length()
+        table = np.zeros(1 << (64 - slot_shift), dtype=bool)
+        table[_key_slots(keys, slot_shift)] = True
+    start, filtered = 0, use_table
     while start < m:
         done = wedge_ends[start] - later[start]
         stop = max(start + 1, int(np.searchsorted(wedge_ends, done + _WEDGE_BLOCK, "right")))
@@ -533,15 +629,30 @@ def _forward_triangles(degrees: np.ndarray, neighbors: np.ndarray) -> Iterator[n
         first = np.repeat(np.arange(start, stop), arms)
         second = np.repeat(shift[start:stop], arms) + np.arange(done, done + len(first))
         closing = heads[first] * n + heads[second]
+        wedges = len(closing)
+        if filtered:
+            maybe = np.flatnonzero(table[_key_slots(closing, slot_shift)])
+            first, second, closing = first[maybe], second[maybe], closing[maybe]
         at = np.searchsorted(keys, closing)
         closed = keys.take(at, mode="clip") == closing
         first, second, at = first[closed], second[closed], at[closed]
+        # where most wedges close (as in a clique) the filter passes nearly
+        # all of them, so the next block skips it
+        filtered = use_table and 2 * len(first) <= wedges
         yield np.concatenate((
             tail_codes[first] + ids[at],
             head_codes[first] + ids[second],
             head_codes[second] + ids[first],
         ))
         start = stop
+
+
+def _key_slots(keys: np.ndarray, shift: int) -> np.ndarray:
+    """Multiplicative hashes of the int64 ``keys``: the top ``64 - shift`` bits
+    of each key times 2**64 / golden ratio, modulo 2**64."""
+    slots = keys.view(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    slots >>= np.uint64(shift)
+    return slots
 
 
 def _neighbor_edge_total(g: Graph, cap: int) -> int:

@@ -375,11 +375,13 @@ def _node_round(
     """One 1wl or nc1wl round over the nodes of one graph by sorting.
 
     ``ends`` holds the endpoint arrays of the edges (empty for 1wl). Each
-    edge's pair (a, b) of colors, both below the node count n, is coded
-    ``min * n + max`` once. Each class gathers its rows [pair codes,
-    neighbor colors, own color], sorts the codes and the neighbor colors
-    of each row, and relabels the rows with one :func:`_dense_ids`.
-    Padding slots hold -1 or the code -n - 1, which no real entry takes,
+    edge's pair (a, b) of colors, dense ids below the round's class count
+    K, is coded ``min * K + max`` once: injective, ordered as the pairs
+    (min, max), and spanning K**2 values rather than n**2, so
+    :func:`_dense_ids` takes fewer rank steps. Each class gathers its rows
+    [pair codes, neighbor colors, own color], sorts the codes and the
+    neighbor colors of each row, and relabels the rows with one
+    :func:`_dense_ids`. Padding slots hold -1, which no real entry takes,
     so equal rows have equal degree and pair count. The classes, holding
     disjoint signatures, merge into global ids by the rank of each group's
     first node. The ids equal :func:`_intern_round`'s over one
@@ -389,9 +391,10 @@ def _node_round(
         ids = {lab: i for i, lab in enumerate(dict.fromkeys(labels))}
         return np.array([ids[lab] for lab in labels], dtype=np.int64)
     n = len(colors)
+    k = int(colors.max(initial=-1)) + 1
     a, b = colors[ends[0]], colors[ends[1]]
     # the colors, their sentinel, each edge's pair code, then the codes' sentinel
-    source = np.concatenate((colors, [-1], np.minimum(a, b) * n + np.maximum(a, b), [-n - 1]))
+    source = np.concatenate((colors, [-1], np.minimum(a, b) * k + np.maximum(a, b), [-1]))
     parts = []
     for cls in classes:
         rows = source[cls.index]

@@ -247,6 +247,25 @@ class TestGnnEmbedCommand:
         # the index alone would take 63 MB
         assert peak < 24 * 2**20
 
+    def test_triangles_are_not_counted_when_another_size_is_over_the_limit(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # dim * dim = 36000000 passes the limit, so 3T * dim (616 M entries
+        # on K_60) is never counted, and the message names the largest
+        # size that was computed
+        path = tmp_path / "k60.txt"
+        path.write_text(serialize_edge_list(complete_graph(60)))
+
+        def refuse(g, cap):
+            raise AssertionError("triangles counted")
+
+        monkeypatch.setattr(ncwl.cli, "_neighbor_edge_total", refuse, raising=False)
+        assert main(["gnn-embed", str(path), "--dim", "6000"]) == 2
+        assert capsys.readouterr().err == (
+            "error: an array of 36000000 entries (nodes=60, edges=1770, labels=1, dim=6000) "
+            "exceeds the limit of 33554432\n"
+        )
+
     @pytest.mark.parametrize("layers, code", [("40", 2), ("2", 0)])
     def test_the_layers_parameters_are_bounded_together(self, files, layers, code):
         # at dim 512 each layer after the first holds about 1.05M entries,

@@ -344,6 +344,27 @@ class TestNeighborEdgeLister:
             padded = Graph.build(g.node_count + rng.randrange(1, 6), g.edges())
             assert_lister_matches_reference(padded)
 
+    @pytest.mark.parametrize("block", [None, 1, 7])
+    @pytest.mark.parametrize("slots", ["hashed", "one-slot"])
+    def test_the_closure_filter_on_graphs_of_any_size(self, monkeypatch, slots, block):
+        # every graph here gets the table; with one slot for every key and
+        # every closing key each wedge is searched, so the filter only
+        # narrows the search and never decides it
+        monkeypatch.setattr(ncwl.graph, "_TABLE_MIN_WEDGES", 0)
+        if slots == "one-slot":
+            monkeypatch.setattr(
+                ncwl.graph, "_key_slots", lambda keys, shift: np.zeros(len(keys), dtype=np.intp)
+            )
+        if block is not None:
+            monkeypatch.setattr(ncwl.graph, "_WEDGE_BLOCK", block)
+        rng = random.Random("pass-through")
+        cases = [random_gnp(rng, rng.randrange(2, 60), rng.random()) for _ in range(10)]
+        cases += [complete_graph(n) for n in (3, 4, 23)] + [star_graph(n) for n in (3, 60)]
+        if block is None:
+            cases.append(random_gnm(rng, 700, 19600))
+        for g in cases:
+            assert_lister_matches_reference(g)
+
     def test_hub_of_a_large_wheel_is_not_quadratic(self):
         # the merge lister took 2.7 s on wheel_graph(8000) and did not
         # finish on this one within minutes; compact-forward takes 0.06 s

@@ -9,6 +9,7 @@ line included.
 from __future__ import annotations
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from ncwl import (
     random_gnp,
     stats,
 )
-from ncwl.graph import _neighbor_edge_total
+from ncwl.graph import MAX_NODE_COUNT, _neighbor_edge_total, _plain_edge_list, _validated_csr
 
 from conftest import graphs, permutations_of
 
@@ -83,11 +84,29 @@ def valid_edges(draw, n: int, max_size: int = 80):
     return [list(map(str, e)) for e in pairs]
 
 
-def token(draw, text: str) -> str:
-    """An integer token in a syntax Python's ``int`` reads as the same value."""
+ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+FULLWIDTH = str.maketrans("0123456789", "０１２３４５６７８９")
+
+
+def token(draw, text: str, plain: bool) -> str:
+    """An integer token in a syntax Python's ``int`` reads as the same value.
+
+    A plain token is ASCII digits only, with up to two leading zeros. The
+    others may also carry a sign or an underscore, other decimal digits
+    (``١``, ``５``) or zeros up to 19-22 digits.
+    """
     if text.startswith("-"):
         return text
-    return draw(st.sampled_from((text, "+" + text, "0_" + text, "0" + text)))
+    syntaxes = [text, "0" + text, "00" + text]
+    if not plain:
+        syntaxes += [
+            "+" + text,
+            "0_" + text,
+            text.translate(ARABIC_INDIC),
+            text.translate(FULLWIDTH),
+            text.zfill(draw(st.integers(19, 22))),
+        ]
+    return draw(st.sampled_from(syntaxes))
 
 
 def apply_fault(draw, fault: str, n: int, lines: list[list[str]]) -> int:
@@ -121,29 +140,67 @@ def apply_fault(draw, fault: str, n: int, lines: list[list[str]]) -> int:
     return len(lines)
 
 
+#: What ``str.splitlines`` and ``str.split`` take as a line break or a
+#: blank besides LF, CR and the ASCII blanks: no plain file holds them.
+UNICODE_BREAKS = ("\x0b", "\x0c", "\x1c", "\x85", "\u2028")
+
+
 @st.composite
 def edge_list_files(draw, faults=(None,)):
+    """Edge-list text; about half of it plain (:func:`is_plain`, unless a
+    fault makes it otherwise): no comment, no label section, ASCII digits,
+    blanks and LF/CR line breaks only."""
+    plain = draw(st.booleans())
     n = draw(st.integers(0, 40))
     lines = draw(valid_edges(n))
     fault = draw(st.sampled_from(faults))
     claimed = len(lines) if fault is None else apply_fault(draw, fault, n, lines)
     data = [[str(n), str(claimed)]]
-    data += [[token(draw, t) for t in line] for line in lines]
-    if n and draw(st.booleans()):
+    data += [[token(draw, t, plain) for t in line] for line in lines]
+    if not plain and n and draw(st.booleans()):
         order = draw(permutations_of(n))
         data.append(["labels"])
         data += [[str(v), str(draw(st.integers(0, 4)))] for v in order]
 
-    pad = st.sampled_from(("", " ", "  ", "\t"))
-    sep = st.sampled_from((" ", "  ", "\t", " \t "))
-    noise = st.sampled_from(("", "   ", "# a comment", "  #x 1 2", "#"))
+    pads, seps = ("", " ", "  ", "\t"), (" ", "  ", "\t", " \t ")
+    noises = ("", "   ")
+    newlines = ("\n", "\r\n", "\r")
+    if not plain:
+        pads += UNICODE_BREAKS[:1]
+        noises += ("# a comment", "  #x 1 2", "#")
+        newlines += UNICODE_BREAKS
+    pad, sep, noise = st.sampled_from(pads), st.sampled_from(seps), st.sampled_from(noises)
     out = []
     for line in data:
         out += draw(st.lists(noise, max_size=2))
         out.append(draw(pad) + draw(sep).join(line) + draw(pad))
     out += draw(st.lists(noise, max_size=2))
-    newline = draw(st.sampled_from(("\n", "\r\n")))
+    newline = draw(st.sampled_from(newlines))
     return newline.join(out) + draw(st.sampled_from(("", newline)))
+
+
+def is_plain(text: str) -> bool:
+    """Whether ``text`` is a plain edge list, the byte tokenizer's input, by its lines."""
+    if set(text) - set("0123456789 \t\r\n"):
+        return False
+    lines = [line.split() for line in re.split("[\r\n]", text) if line.split()]
+    return (
+        bool(lines)
+        and all(len(line) == 2 and max(map(len, line)) <= 18 for line in lines)
+        and int(lines[0][0]) <= MAX_NODE_COUNT
+        and int(lines[0][1]) == len(lines) - 1
+    )
+
+
+def assert_plain_exactly_when_expected(text: str):
+    """The byte tokenizer reads exactly the plain texts, each as ``int`` reads its lines."""
+    plain = _plain_edge_list(text)
+    assert (plain is not None) == is_plain(text)
+    if plain is not None:
+        lines = [line.split() for line in text.splitlines() if line.split()]
+        assert plain[0] == int(lines[0][0])
+        assert plain[1].dtype == np.int64
+        assert plain[1].tolist() == [[int(u), int(v)] for u, v in lines[1:]]
 
 
 def assert_parses_as_reference(text: str):
@@ -156,11 +213,13 @@ class TestParseDifferential:
     def test_valid_files(self, text):
         assert outcome(reference.parse_edge_list, text)[0] == "ok"
         assert_parses_as_reference(text)
+        assert_plain_exactly_when_expected(text)
 
     @given(edge_list_files(faults=FAULTS))
     @settings(max_examples=400, deadline=None)
     def test_single_fault_mutants(self, text):
         assert_parses_as_reference(text)
+        assert_plain_exactly_when_expected(text)
 
     @pytest.mark.parametrize("fault", FAULTS)
     def test_every_fault_on_a_graph_the_arrays_parse(self, fault):
@@ -195,6 +254,74 @@ class TestParseDifferential:
         text = f"40 {claimed}\n" + "".join(" ".join(line) + "\n" for line in lines)
         with pytest.raises(GraphFormatError):
             reference.parse_edge_list(text)
+        assert_parses_as_reference(text)
+
+
+#: Texts the byte tokenizer reads, and texts it leaves to the line path.
+PLAIN_TEXTS = {
+    "lf": "3 2\n0 1\n1 2\n",
+    "crlf": "3 2\r\n0 1\r\n1 2\r\n",
+    "lone-cr": "3 2\r0 1\r1 2",
+    "tabs-and-blank-lines": "\n\t3\t2 \n\n 0 \t1\n\r\n1  2\t\n\n",
+    "no-final-break": "3 2\n0 1\n1 2",
+    "no-edges": "5 0\n",
+    "node-limit": f"{MAX_NODE_COUNT} 0",
+    "18-digit-ids": "000000000000000003 2\n000000000000000000 01\n1 000000000000000002\n",
+}
+LINE_TEXTS = {
+    "empty": "",
+    "blank": " \n\r\n\t",
+    "comment": "# a graph\n3 2\n0 1\n1 2\n",
+    "labels": "3 1\n0 1\nlabels\n0 1\n1 0\n2 0\n",
+    "plus": "3 2\n+0 1\n1 2\n",
+    "underscore": "3 2\n0_0 1\n1 2\n",
+    "arabic-indic": "3 2\n0 ١\n1 2\n",
+    "fullwidth": "3 2\n0 1\n1 ２\n",
+    "19-digit-id": "3 2\n0000000000000000000 1\n1 2\n",
+    "22-digit-id": "3 2\n0 0000000000000000000001\n1 2\n",
+    "vertical-tab": "3 2\x0b0 1\n1 2\n",
+    "form-feed": "3 2\n0 1\x0c1 2\n",
+    "file-separator": "3 2\n0 1\x1c1 2\n",
+    "next-line": "3 2\n0 1\x851 2\n",
+    "line-separator": "3 2\u20280 1\n1 2\n",
+    "nul": "3 2\n0 1\n1 2\n\x00",
+    "one-token": "3 2\n0\n1 2\n",
+    "three-tokens": "3 2\n0 1 2\n1 2\n",
+    "two-edges-a-line": "3 2\n0 1 1 2\n",
+    "missing-edge-line": "3 3\n0 1\n1 2\n",
+    "extra-edge-line": "3 1\n0 1\n1 2\n",
+    "over-the-node-limit": f"{MAX_NODE_COUNT + 1} 0\n",
+    "out-of-range": "3 2\n0 1\n1 3\n",
+    "self-loop": "3 2\n0 1\n2 2\n",
+    "duplicate": "3 2\n0 1\n1 0\n",
+}
+
+
+class TestBytePath:
+    """Which texts the byte tokenizer reads; the line path reads the rest."""
+
+    @pytest.mark.parametrize("text", PLAIN_TEXTS.values(), ids=PLAIN_TEXTS.keys())
+    def test_plain_texts_are_read_from_their_bytes(self, monkeypatch, text):
+        expected = outcome(reference.parse_edge_list, text)
+        assert expected[0] == "ok" and is_plain(text)
+        assert_plain_exactly_when_expected(text)
+
+        def refuse(lines):
+            raise AssertionError("line path taken")
+
+        monkeypatch.setattr(ncwl.graph, "_parsed_pairs", refuse)
+        assert outcome(parse_edge_list, text) == expected
+
+    @pytest.mark.parametrize("name", LINE_TEXTS)
+    def test_other_texts_take_the_line_path(self, name):
+        text = LINE_TEXTS[name]
+        plain = _plain_edge_list(text)
+        if name in ("out-of-range", "self-loop", "duplicate"):
+            # read from the bytes, refused by the arrays, and named by the line path
+            assert plain is not None and _validated_csr(*plain) is None
+        else:
+            assert plain is None
+        assert_plain_exactly_when_expected(text)
         assert_parses_as_reference(text)
 
 

@@ -484,6 +484,26 @@ class TestSortedNodeEngine:
         assert_node_sorting_matches_interning([g, h], method)
         assert_node_sorting_matches_interning([g, other], method)
 
+    def test_every_color_pair_has_its_own_code(self):
+        # one center per pair (a, b) of k colors, each with private neighbors
+        # colored 0, 0, 1, 1, ..., k-1, k-1 and one edge among them joining
+        # colors a and b: the centers differ in that pair alone
+        k = 4
+        pairs = [(a, b) for a in range(k) for b in range(a, k)]
+        centers, colors, edges = [], [], []
+        for a, b in pairs:
+            centers.append(len(colors))
+            colors.append(0)
+            first = len(colors)
+            colors.extend(c for c in range(k) for _ in range(2))
+            edges += [(centers[-1], first + i) for i in range(2 * k)]
+            edges.append((first + 2 * a, first + 2 * b + 1))
+        g = Graph.build(len(colors), edges)
+        colors = np.array(colors, dtype=np.int64)
+        new = _node_round(*_width_classes(g, True), g.labels, colors)
+        assert len(set(new[centers].tolist())) == len(pairs)
+        assert np.array_equal(new, _intern_round([_NodeUniverse(g, True)], colors))
+
     @pytest.mark.parametrize("method", NODE_METHODS)
     def test_zero_one_and_isolated_nodes(self, method):
         empty, single = Graph.build(0, []), Graph.build(1, [], [5])
