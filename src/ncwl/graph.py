@@ -10,13 +10,14 @@ The edge-list text format understood by :func:`parse_edge_list`:
 * lines starting with ``#`` are comments; blank lines are ignored;
   LF and CRLF both accepted
 
-The parser has two tokenizers, chosen by the text's bytes. Plain text
-holds only ASCII digits, spaces, tabs, LF and CR, two ids of at most 18
-digits on each line that is not blank, and exactly the header's edge count
-of edge lines (no comment, no label section); numpy reads it from its bytes
-(:func:`_plain_edge_list`), as ``int`` would. Every other text, and plain
-text whose edges the arrays refuse, is read line by line, and only that
-path names an error's line.
+The parser has two tokenizers, chosen by the text's bytes. Plain text is
+ASCII; besides its comment lines, which may hold any ASCII character but
+``\x0b``, ``\x0c`` and ``\x1c``-``\x1f``, it holds only digits, spaces,
+tabs, LF and CR, two ids of at most 18 digits on each line that is not
+blank, and exactly the header's edge count of edge lines (no label
+section); numpy reads it from its bytes (:func:`_plain_edge_list`), as
+``int`` would. Every other text, and plain text whose edges the arrays
+refuse, is read line by line, and only that path names an error's line.
 
 A graph stores its adjacency as two read-only intp arrays in CSR form,
 ``degrees`` and ``neighbors`` (every node's sorted neighbor list,
@@ -142,11 +143,16 @@ def _parsed_pairs(lines: list[str]) -> np.ndarray | None:
 
 #: The byte tokenizer's classes (:func:`_plain_edge_list`): 1 for an ASCII
 #: digit, 2 for a space or tab, 3 for a line break (LF or CR), 0 for any
-#: other byte, which sends the text to the line path.
+#: other byte, which sends the text to the line path unless a comment holds it.
 _BYTE_KINDS = np.zeros(256, dtype=np.uint8)
 _BYTE_KINDS[list(b"0123456789")] = 1
 _BYTE_KINDS[list(b" \t")] = 2
 _BYTE_KINDS[list(b"\n\r")] = 3
+
+#: The ASCII characters besides LF and CR at which ``str.splitlines`` breaks
+#: a line, or that ``str.strip`` strips besides space and tab: text holding
+#: one goes to the line path, even inside a comment.
+_LINE_PATH_CHARS = "\x0b\x0c\x1c\x1d\x1e\x1f"
 
 #: Most digits of an id the byte tokenizer reads: 10**18 - 1 fits in int64.
 _PLAIN_DIGITS = 18
@@ -155,22 +161,31 @@ _PLAIN_DIGITS = 18
 def _plain_edge_list(text: str) -> tuple[int, np.ndarray] | None:
     """(node_count, (m, 2) int64 edge pairs) of a plain edge list, from its bytes.
 
-    Plain text holds only ASCII digits, spaces, tabs and line breaks (LF,
-    CR); each line that is not blank holds two tokens of at most
-    :data:`_PLAIN_DIGITS` digits; and those lines are the header, with a
-    node count of at most :data:`MAX_NODE_COUNT`, plus exactly its edge
-    count of edge lines. ``int`` reads such a token as the decimal value of
-    its digits, which is the value computed here, so the pairs are the
-    ones the line path reads. None for any other text.
+    Plain text is ASCII without the characters of :data:`_LINE_PATH_CHARS`.
+    Its comment lines, whose first byte that is not a space or tab is
+    ``#``, are dropped, as the line path drops them. The other lines hold
+    only digits, spaces, tabs and line breaks (LF, CR); each that is not
+    blank holds two tokens of at most :data:`_PLAIN_DIGITS` digits; and
+    those lines are the header, with a node count of at most
+    :data:`MAX_NODE_COUNT`, plus exactly its edge count of edge lines.
+    ``int`` reads such a token as the decimal value of its digits, which is
+    the value computed here, so the pairs are the ones the line path reads.
+    None for any other text.
     """
     if not text.isascii():
         return None
     buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
     kinds = _BYTE_KINDS[buf]
+    if "#" in text and not _blank_comments(text, kinds):
+        return None
     if not kinds.all():
         return None
-    # a token starts where a digit follows a non-digit and ends where a non-digit follows one
-    bounds = np.flatnonzero(np.diff(kinds == 1, prepend=False, append=False))
+    # a token starts where a digit follows a non-digit and ends where a non-digit
+    # follows one, with a non-digit before and after the text (np.diff's prepend
+    # and append cost more than the rest of a ten-line file's tokenizing)
+    digit = np.zeros(len(kinds) + 2, dtype=bool)
+    np.equal(kinds, 1, out=digit[1:-1])
+    bounds = np.flatnonzero(digit[1:] != digit[:-1])
     starts, ends = bounds[0::2], bounds[1::2]
     lengths = ends - starts
     if len(starts) < 2 or len(starts) % 2:
@@ -193,6 +208,27 @@ def _plain_edge_list(text: str) -> tuple[int, np.ndarray] | None:
     if node_count > MAX_NODE_COUNT or edge_count != len(lines) - 1:
         return None
     return node_count, values[2:].reshape(-1, 2)
+
+
+def _blank_comments(text: str, kinds: np.ndarray) -> bool:
+    """Marks the bytes of ``text``'s comment lines as blanks in its byte
+    ``kinds``, up to each line's break. False if ``text`` holds a character
+    of :data:`_LINE_PATH_CHARS` or a ``#`` after a byte on its line that is
+    not a space or tab."""
+    if any(c in text for c in _LINE_PATH_CHARS):
+        return False
+    # one break character, so that each search below stops at its line's end
+    text = text.replace("\r", "\n")
+    at = text.find("#")
+    while at >= 0:
+        start = text.rfind("\n", 0, at) + 1
+        if text[start:at].strip(" \t"):
+            return False
+        end = text.find("\n", at)
+        end = len(text) if end < 0 else end
+        kinds[start:end] = 2
+        at = text.find("#", end)
+    return True
 
 
 def _validated_csr(node_count: int, pairs: np.ndarray | None):

@@ -9,11 +9,11 @@ Three refinement families over a shared core:
   multisets obtained by substituting each tuple position.
 
 All four methods relabel by sorting (the sorted-signature compression of
-Shervashidze et al. 2011, without hashing), so "injective hash" holds
-exactly, with no collisions to analyze. Each round assigns dense ids
-0..num_classes-1 in first-appearance order over the fixed entity order;
-since signatures embed the previous round's colors, reusing small ids
-across rounds cannot merge classes.
+Shervashidze et al. 2011), and where they hash they check every hash
+group, so "injective hash" holds exactly, whatever the hash's collisions.
+Each round assigns dense ids 0..num_classes-1 in first-appearance order
+over the fixed entity order; since signatures embed the previous round's
+colors, reusing small ids across rounds cannot merge classes.
 
 * The node methods gather every node's neighbor colors, and for nc1wl the
   codes of its neighbor-edges' color pairs (one per edge and round), into
@@ -31,9 +31,21 @@ across rounds cannot merge classes.
   sorts each position's fibers of the whole stack in one call
   (:func:`_sort_round`).
 
-"One sort" is :func:`_dense_ids`: it packs each key column into one int64
-code, exactly (falling back to dense ranks where the digits would
-overflow), and groups equal codes by one ``np.argsort``.
+"One sort" gives each entity one int64 code and groups equal codes by one
+``np.argsort``. The wide keys, a node's row and a fiber, are matrices with
+one row per entity, whose columns' spans the round knows: the class count
+K bounds every color. :func:`_row_ids` codes each row by one matrix-vector
+product, in the spans' mixed radix where it fits in int64 (exact) and by
+fixed odd 64-bit multipliers otherwise, comparing every pair of sorted
+rows with equal codes then, and handing the rows to :func:`_dense_ids` on
+a collision. The narrow keys, round 0 of the tuple methods and their
+(k+1)-integer rows, go to :func:`_dense_ids`, which packs them exactly,
+one key row at a time (ranking the code so far where the next digit would
+overflow). On the benchmark's inputs (2 vCPUs) the row codes took nc1wl
+rounds of the tri-dense ``compare`` union from about 21 to 10 ms, and of
+the mesh-rounds union from 29 to 21 ms, against :func:`_dense_ids` on the
+same rows. No hash collided: 256 of the 764 relabels in one seed-0 pass
+of the four workloads hashed.
 
 The ids equal those a fresh interner gives the canonical signature tuples
 (multisets sorted, pairs as (min, max)), bit for bit. The node methods
@@ -68,6 +80,7 @@ runs as partitions, round by round.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, groupby
@@ -247,6 +260,18 @@ def _ranks(values: np.ndarray) -> tuple[np.ndarray, int]:
     return ranks, int(group[-1]) + 1
 
 
+def _first_occurrence_ids(order, starts, group) -> tuple[np.ndarray, np.ndarray]:
+    """The ids of :func:`_groups`' values numbered by first occurrence, and
+    the position where each id first occurs."""
+    first = np.minimum.reduceat(order, np.flatnonzero(starts))
+    by_first = first.argsort()
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[by_first] = np.arange(len(first))
+    ids = np.empty(len(order), dtype=np.int64)
+    ids[order] = rank[group]
+    return ids, first[by_first]
+
+
 def _dense_ids(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ids of the columns of the int64 ``keys`` (one row per key component).
 
@@ -259,11 +284,10 @@ def _dense_ids(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     row in the radix of the row's span. When the next digit would overflow,
     the code so far is replaced by its dense rank (and a row too wide for
     even that by its own ranks), which keeps the codes exact for any int64
-    keys. One ``np.argsort`` of the codes then groups equal columns. Against
-    ``np.lexsort`` of the rows, on the calls' own keys (2 vCPUs): the joint
-    runs of 200 suite pairs 10 vs 13 ms under 2wl and 37 vs 92 ms under
-    3wl, the benchmark's kwl-tuples 3wl ``compare`` 12 vs 32 ms, and its
-    tri-dense nc1wl ``refine`` 10-15 vs 18 ms.
+    keys. One ``np.argsort`` of the codes then groups equal columns. It
+    costs a few numpy calls per key row, so it serves the narrow keys:
+    round 0 of the tuple methods, their (k+1)-row keys of own color and
+    fiber ids, and the rows where :func:`_row_ids` finds a hash collision.
     """
     m = keys.shape[1]
     if m == 0:
@@ -286,13 +310,91 @@ def _dense_ids(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         bound *= span
     order, starts, group = _groups(code)
     del code
-    first = np.minimum.reduceat(order, np.flatnonzero(starts))
-    by_first = first.argsort()
-    rank = np.empty(len(first), dtype=np.int64)
-    rank[by_first] = np.arange(len(first))
-    ids = np.empty(m, dtype=np.int64)
-    ids[order] = rank[group]
-    return ids, first[by_first]
+    return _first_occurrence_ids(order, starts, group)
+
+
+def _splitmix64(count: int) -> np.ndarray:
+    """The first ``count`` outputs of SplitMix64 seeded with 0, made odd, as uint64."""
+    z = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> 27)) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> 31) | np.uint64(1)
+
+
+#: The hash multipliers of :func:`_row_ids`' first columns. Column j of a
+#: wider row takes ``_HASH_TABLE[j % L] * _HASH_STRIDE**(j // L)``, L the
+#: table's length.
+_HASH_TABLE = _splitmix64(1024)
+_HASH_STRIDE = np.uint64(0x9E3779B97F4A7C15)
+
+#: Bytes of sorted rows :func:`_row_ids` compares at a time when it checks
+#: a hash's groups.
+_CHECK_BYTES = 1 << 18
+
+
+def _multipliers(spans: np.ndarray) -> tuple[np.ndarray, bool]:
+    """The uint64 multipliers of columns of the given int64 ``spans``, and
+    whether they are the spans' mixed radix, which codes rows injectively.
+
+    The radix needs every partial product to fit in int64; at most 63
+    spans above 1 can. Past that, the multipliers hash.
+    """
+    width = len(spans)
+    big = spans[spans > 1]
+    if len(big) <= 63 and math.prod(big.tolist()) <= _INT64_MAX:
+        radix = np.ones(width, dtype=np.int64)
+        radix[:-1] = np.cumprod(spans[:0:-1])[::-1]
+        return radix.view(np.uint64), True
+    table = _HASH_TABLE
+    if width <= len(table):
+        return table[:width], False
+    column = np.arange(width, dtype=np.uint64)
+    length = np.uint64(len(table))
+    return table[column % length] * np.power(_HASH_STRIDE, column // length), False
+
+
+def _row_ids(rows: np.ndarray, spans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ids :func:`_dense_ids` gives ``rows.T``, from one code per row.
+
+    ``rows`` is a C-contiguous int64 matrix with one row per entity, and
+    every value of its column j lies in a window of ``spans[j]``
+    consecutive integers. Each row gets the code ``rows @ mult`` modulo
+    2**64 (:func:`_multipliers`), and one ``np.argsort`` groups equal
+    codes. With the spans' mixed radix as ``mult`` the codes are exact:
+    two rows' codes differ by the sum of their digit differences times the
+    radix, under 2**63 in magnitude and zero only for equal digits. Else
+    the codes hash, and every sorted row whose code equals its
+    predecessor's is compared with that row (:func:`_hash_collides`); on a
+    mismatch the rows go to :func:`_dense_ids`. So the ids are exact
+    whatever the multipliers.
+    """
+    m = rows.shape[0]
+    if m == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.intp)
+    mult, exact = _multipliers(spans)
+    order, starts, group = _groups(rows.view(np.uint64) @ mult)
+    if not exact and _hash_collides(rows, order, starts):
+        return _dense_ids(rows.T)
+    return _first_occurrence_ids(order, starts, group)
+
+
+def _hash_collides(rows: np.ndarray, order: np.ndarray, starts: np.ndarray) -> bool:
+    """Whether some row of ``rows`` in the sorted ``order`` differs from its
+    predecessor although :func:`_groups` put them in one group.
+
+    The rows are gathered and compared :data:`_CHECK_BYTES` at a time, and
+    a row wider than half that is compared in place, so the check never
+    copies more than a block of the rows.
+    """
+    repeats = np.flatnonzero(~starts)
+    step = _CHECK_BYTES // max(1, rows.strides[0])
+    if step < 2:
+        return any((rows[order[i]] != rows[order[i - 1]]).any() for i in repeats.tolist())
+    for i in range(0, len(repeats), step):
+        at = repeats[i : i + step]
+        if (rows[order[at]] != rows[order[at - 1]]).any():
+            return True
+    return False
 
 
 @dataclass(frozen=True)
@@ -377,15 +479,15 @@ def _node_round(
     ``ends`` holds the endpoint arrays of the edges (empty for 1wl). Each
     edge's pair (a, b) of colors, dense ids below the round's class count
     K, is coded ``min * K + max`` once: injective, ordered as the pairs
-    (min, max), and spanning K**2 values rather than n**2, so
-    :func:`_dense_ids` takes fewer rank steps. Each class gathers its rows
-    [pair codes, neighbor colors, own color], sorts the codes and the
-    neighbor colors of each row, and relabels the rows with one
-    :func:`_dense_ids`. Padding slots hold -1, which no real entry takes,
-    so equal rows have equal degree and pair count. The classes, holding
-    disjoint signatures, merge into global ids by the rank of each group's
-    first node. The ids equal :func:`_intern_round`'s over one
-    :class:`_NodeUniverse`.
+    (min, max), and spanning K**2 values rather than n**2. Each class
+    gathers its rows [pair codes, neighbor colors, own color], sorts the
+    codes and the neighbor colors of each row, and relabels the rows with
+    one :func:`_row_ids`. Padding slots hold -1, which no real entry takes,
+    so equal rows have equal degree and pair count, and a pair slot spans
+    K**2 + 1 values, a neighbor slot K + 1 and the own color K. The
+    classes, holding disjoint signatures, merge into global ids by the
+    rank of each group's first node. The ids equal :func:`_intern_round`'s
+    over one :class:`_NodeUniverse`.
     """
     if colors is None:
         ids = {lab: i for i, lab in enumerate(dict.fromkeys(labels))}
@@ -400,8 +502,9 @@ def _node_round(
         rows = source[cls.index]
         rows[:, : cls.pairs].sort(axis=1)
         rows[:, cls.pairs : -1].sort(axis=1)
-        # keys: sorted pair codes, sorted neighbor colors, own color
-        parts.append(_dense_ids(rows.T))
+        # rows: sorted pair codes from -1, sorted neighbor colors from -1, own color
+        spans = np.repeat((k * k + 1, k + 1, k), (cls.pairs, rows.shape[1] - cls.pairs - 1, 1))
+        parts.append(_row_ids(rows, spans))
     firsts = np.concatenate([cls.nodes[first] for cls, (_, first) in zip(classes, parts)])
     rank = np.empty(len(firsts), dtype=np.int64)
     rank[np.argsort(firsts)] = np.arange(len(firsts))
@@ -434,8 +537,11 @@ def _sort_round(graphs: Sequence[Graph], k: int, colors: np.ndarray | None) -> n
     counts. A later round takes graphs of one node count n: one stack, a
     (graphs, n, ..., n) array, whose fibers along one tuple position are
     sorted by one ``np.sort``; it raises ValueError for mixed node counts.
-    The ids equal :func:`_intern_round`'s over one interning tuple universe
-    (kept with the tests) per graph.
+    The k positions' sorted fibers, one contiguous row each with n colors
+    below the class count K, get their ids from one :func:`_row_ids`, and
+    the (k+1)-integer rows of own color and fiber ids theirs from
+    :func:`_dense_ids`. The ids equal :func:`_intern_round`'s over one
+    interning tuple universe (kept with the tests) per graph.
     """
     if colors is None:
         return _dense_ids(_atomic_type_keys(graphs, k))[0]
@@ -446,7 +552,8 @@ def _sort_round(graphs: Sequence[Graph], k: int, colors: np.ndarray | None) -> n
         return colors
     cube = colors.reshape((len(graphs),) + (n,) * k)
     fibers = [np.sort(cube.transpose(axes).reshape(-1, n), axis=-1) for axes in _FIBER_AXES[k]]
-    fiber_ids = _dense_ids(np.concatenate(fibers).T)[0].reshape((k,) + cube.shape[:-1])
+    spans = np.full(n, int(colors.max()) + 1)
+    fiber_ids = _row_ids(np.concatenate(fibers), spans)[0].reshape((k,) + cube.shape[:-1])
     rows = np.empty((k + 1,) + cube.shape, dtype=np.int64)
     rows[0] = cube
     for i in range(k):
@@ -516,9 +623,11 @@ def _rounds(step: Callable[[np.ndarray | None], np.ndarray]) -> Iterator[np.ndar
 #: engine: the suite's corpus check (one ``compare`` per entry and method),
 #: :func:`_verdicts` chunks of under 32 nodes (``ncwl suite --random-pairs
 #: 1``) and library calls on tiny graphs. CPU time per joint run of two
-#: G(n, p), interning vs sorting, 2 vCPUs: unions of 10 nodes 27-69 vs
-#: 97-191 us, 20 nodes 97-215 vs 206-272 us, 40 nodes 231-814 vs 242-403 us,
-#: 80 nodes 390-7866 vs 320-2084 us, over p in {0.15, 0.5} and both methods.
+#: G(n, p), interning vs sorting, 2 vCPUs (the rounds of one union, its
+#: index built once; median of 30 seeded unions, 20 runs each), with
+#: :func:`_row_ids`: unions of 10 nodes 37-64 vs 132-277 us, 20 nodes
+#: 77-164 vs 204-232 us, 40 nodes 165-687 vs 249-272 us, 80 nodes 348-6165
+#: vs 251-609 us, over p in {0.15, 0.5} and both methods.
 _SORT_MIN_NODES = 32
 
 

@@ -144,12 +144,15 @@ def apply_fault(draw, fault: str, n: int, lines: list[list[str]]) -> int:
 #: blank besides LF, CR and the ASCII blanks: no plain file holds them.
 UNICODE_BREAKS = ("\x0b", "\x0c", "\x1c", "\x85", "\u2028")
 
+#: The ASCII characters of that kind, which no plain file holds even in a comment.
+LINE_PATH_CHARS = "\x0b\x0c\x1c\x1d\x1e\x1f"
+
 
 @st.composite
 def edge_list_files(draw, faults=(None,)):
     """Edge-list text; about half of it plain (:func:`is_plain`, unless a
-    fault makes it otherwise): no comment, no label section, ASCII digits,
-    blanks and LF/CR line breaks only."""
+    fault makes it otherwise): no label section, ASCII comment lines, and
+    otherwise ASCII digits, blanks and LF/CR line breaks only."""
     plain = draw(st.booleans())
     n = draw(st.integers(0, 40))
     lines = draw(valid_edges(n))
@@ -163,11 +166,12 @@ def edge_list_files(draw, faults=(None,)):
         data += [[str(v), str(draw(st.integers(0, 4)))] for v in order]
 
     pads, seps = ("", " ", "  ", "\t"), (" ", "  ", "\t", " \t ")
-    noises = ("", "   ")
+    noises = ("", "   ", "# a comment", "  #x 1 2", "#", "\t## 3 4 labels")
     newlines = ("\n", "\r\n", "\r")
     if not plain:
         pads += UNICODE_BREAKS[:1]
-        noises += ("# a comment", "  #x 1 2", "#")
+        # a line break inside a comment starts a line, here another comment
+        noises += ("# a\x0c#b", "#\x1f# 0 1", "# caf\u00e9")
         newlines += UNICODE_BREAKS
     pad, sep, noise = st.sampled_from(pads), st.sampled_from(seps), st.sampled_from(noises)
     out = []
@@ -181,9 +185,13 @@ def edge_list_files(draw, faults=(None,)):
 
 def is_plain(text: str) -> bool:
     """Whether ``text`` is a plain edge list, the byte tokenizer's input, by its lines."""
-    if set(text) - set("0123456789 \t\r\n"):
+    if not text.isascii() or set(text) & set(LINE_PATH_CHARS):
         return False
-    lines = [line.split() for line in re.split("[\r\n]", text) if line.split()]
+    # a comment line's first character that is not a space or tab is '#'
+    lines = [line for line in re.split("[\r\n]", text) if not line.lstrip(" \t").startswith("#")]
+    if set("".join(lines)) - set("0123456789 \t"):
+        return False
+    lines = [line.split() for line in lines if line.split()]
     return (
         bool(lines)
         and all(len(line) == 2 and max(map(len, line)) <= 18 for line in lines)
@@ -198,6 +206,7 @@ def assert_plain_exactly_when_expected(text: str):
     assert (plain is not None) == is_plain(text)
     if plain is not None:
         lines = [line.split() for line in text.splitlines() if line.split()]
+        lines = [line for line in lines if not line[0].startswith("#")]
         assert plain[0] == int(lines[0][0])
         assert plain[1].dtype == np.int64
         assert plain[1].tolist() == [[int(u), int(v)] for u, v in lines[1:]]
@@ -267,12 +276,24 @@ PLAIN_TEXTS = {
     "no-edges": "5 0\n",
     "node-limit": f"{MAX_NODE_COUNT} 0",
     "18-digit-ids": "000000000000000003 2\n000000000000000000 01\n1 000000000000000002\n",
+    "comment": "# a graph\n3 2\n0 1\n1 2\n",
+    "comment-between-edges": "3 2\n0 1\n# labels 1 2\n1 2\n",
+    "indented-comments": "\t# tab\r\n3 2\r\n  #x 0 1\r\n0 1\r\n \t##\r1 2\n#",
+    "comment-of-any-ascii": "#\x00\x7f!~ +0_1 \x1b\x08\n3 2\n0 1\n1 2\n",
 }
 LINE_TEXTS = {
     "empty": "",
     "blank": " \n\r\n\t",
-    "comment": "# a graph\n3 2\n0 1\n1 2\n",
+    "only-comments": "# 3 2\n# 0 1\n",
+    "comment-after-an-edge": "3 1\n0 1\n1 2 # c\n",
+    "comment-after-a-token": "3 2\n0 #1\n1 2\n",
+    "form-feed-in-a-comment": "# a\x0cb\n3 2\n0 1\n1 2\n",
+    "vertical-tab-in-a-comment": "3 2\n0 1\n#\x0b\n1 2\n",
+    "unit-separator-in-a-comment": "3 2\n0 1\n1 2\n# \x1f",
+    "form-feed-before-a-comment": "3 2\n0 1\n\x0c# c\n1 2\n",
+    "non-ascii-comment": "# caf\u00e9\n3 2\n0 1\n1 2\n",
     "labels": "3 1\n0 1\nlabels\n0 1\n1 0\n2 0\n",
+    "commented-labels": "# g\n3 1\n0 1\nlabels\n# l\n0 1\n1 0\n2 0\n",
     "plus": "3 2\n+0 1\n1 2\n",
     "underscore": "3 2\n0_0 1\n1 2\n",
     "arabic-indic": "3 2\n0 ١\n1 2\n",

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import math
 import random
 import sys
 import tracemalloc
 from collections import Counter
+from contextlib import contextmanager
 from functools import partial
 
 import numpy as np
@@ -24,6 +26,7 @@ from ncwl import (
     neighbor_edge_lists,
     path_graph,
     permute_graph,
+    random_gnm,
     random_gnp,
     refine,
     refine_1wl,
@@ -38,8 +41,10 @@ from ncwl.refine import (
     _dense_ids,
     _histogram,
     _intern_round,
+    _multipliers,
     _node_round,
     _NodeUniverse,
+    _row_ids,
     _rounds,
     _sort_round,
     _universes,
@@ -293,9 +298,29 @@ class TestCompare:
                 assert all(type(x) is int for x in values)
 
 
+@contextmanager
+def row_spans_checked():
+    """Checks that the values of every column :func:`_row_ids` is given lie
+    in a window of the column's span, as its codes require."""
+    refine_module = sys.modules["ncwl.refine"]
+    real = refine_module._row_ids
+
+    def checked(rows, spans):
+        assert len(spans) == rows.shape[1]
+        if len(rows):
+            assert (rows.max(axis=0) - rows.min(axis=0) < spans).all()
+        return real(rows, spans)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(refine_module, "_row_ids", checked)
+        yield
+
+
 def assert_rounds_equal(step, reference):
     """Both steps give the same int64 color arrays, round by round; returns them."""
-    rounds, expected = list(_rounds(step)), list(_rounds(reference))
+    with row_spans_checked():
+        rounds = list(_rounds(step))
+    expected = list(_rounds(reference))
     assert len(rounds) == len(expected)
     for got, want in zip(rounds, expected):
         assert got.dtype == want.dtype == np.int64
@@ -436,6 +461,169 @@ def test_packed_dense_ids_equal_the_lexsort_ids(keys):
     assert np.array_equal(ids, want_ids)
     assert np.array_equal(first, want_first)
     assert np.array_equal(keys, before)
+
+
+#: Column spans of :func:`row_matrices`: products of two or three of them
+#: fall on both sides of 2**63 - 1, the largest mixed radix the codes take.
+SPANS = (1, 2, 3, 7, 2**21 + 1, 2**31 - 1, 2**32, 2**32 + 1, 2**62, 2**63 - 1)
+
+#: Hash tables :func:`_row_ids` may be given in place of its own: its first
+#: entries, which wider rows outrun, and tables whose codes collide.
+TABLES = {
+    "own": None,
+    "one-entry": lambda table: table[:1],
+    "two-entries": lambda table: table[:2],
+    "ones": lambda table: np.ones(2, dtype=np.uint64),
+    "zeros": lambda table: np.zeros(3, dtype=np.uint64),
+}
+
+
+@st.composite
+def row_matrices(draw):
+    """(rows, spans): 0-40 int64 rows of 1-12 columns, drawn from a pool of
+    1-6 distinct rows; column j takes values in ``range(lo, lo + spans[j])``,
+    lo 0 or the padding sentinel -1, and is often at the window's ends."""
+    width = draw(st.integers(1, 12))
+    spans = draw(st.lists(st.sampled_from(SPANS), min_size=width, max_size=width))
+    los = draw(st.lists(st.sampled_from((0, -1)), min_size=width, max_size=width))
+
+    def value(lo, span):
+        ends = st.sampled_from(sorted({lo, lo + min(1, span - 1), lo + span - 1}))
+        return ends | st.integers(lo, lo + span - 1)
+
+    pool = [
+        [draw(value(lo, span)) for lo, span in zip(los, spans)] for _ in range(draw(st.integers(1, 6)))
+    ]
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=40))
+    rows = np.array([pool[i] for i in picks], dtype=np.int64).reshape(len(picks), width)
+    return rows, np.array(spans, dtype=np.int64)
+
+
+@given(row_matrices(), st.sampled_from(sorted(TABLES)), st.sampled_from((None, 1, 8, 24)))
+@example((np.zeros((3, 0), dtype=np.int64), np.zeros(0, dtype=np.int64)), "own", None)
+# the duplicates of a row straddle blocks of one to three rows
+@example((np.array([[5, -1]] * 7 + [[4, 9]] * 2 + [[5, -1]], dtype=np.int64), np.array([2**62] * 2)), "own", 8)
+@example((np.array([[0, 1], [1, 0], [0, 1]] * 3, dtype=np.int64), np.array([2**62] * 2)), "ones", 24)
+# widths past the table: three rows of 1100 columns, two of them equal
+@example(
+    (np.array([[0] * 1100, [1] + [0] * 1099, [0] * 1100], dtype=np.int64), np.full(1100, 3)),
+    "own",
+    None,
+)
+@settings(max_examples=300, deadline=None)
+def test_row_ids_equal_the_lexsort_ids(case, table, check_bytes):
+    rows, spans = case
+    before = rows.copy()
+    refine_module = sys.modules["ncwl.refine"]
+    with pytest.MonkeyPatch.context() as mp:
+        if TABLES[table]:
+            mp.setattr(refine_module, "_HASH_TABLE", TABLES[table](refine_module._HASH_TABLE))
+        if check_bytes:
+            mp.setattr(refine_module, "_CHECK_BYTES", check_bytes)
+        ids, first = _row_ids(rows, spans)
+        exact = _multipliers(spans)[1]
+    assert exact == (math.prod(spans.tolist()) <= 2**63 - 1)
+    if rows.shape[1]:
+        want_ids, want_first = lexsort_dense_ids(rows.T)
+    else:
+        # rows of no columns are all equal
+        want_ids, want_first = np.zeros(len(rows), dtype=np.int64), np.arange(min(1, len(rows)))
+    assert ids.dtype == np.int64 and first.dtype == want_first.dtype
+    assert np.array_equal(ids, want_ids)
+    assert np.array_equal(first, want_first)
+    assert np.array_equal(rows, before)
+
+
+def test_row_ids_fall_back_on_a_collision_only(monkeypatch):
+    refine_module = sys.modules["ncwl.refine"]
+    calls = []
+    monkeypatch.setattr(refine_module, "_dense_ids", lambda keys: calls.append(keys) or _dense_ids(keys))
+    spans = np.array([2**62, 2**62])
+    rows = np.array([[1, 2], [3, 4], [1, 2]], dtype=np.int64)
+    same = np.array([[1, 2]] * 3, dtype=np.int64)
+    for table, fallbacks in (("own", 0), ("zeros", 1)):
+        if TABLES[table]:
+            monkeypatch.setattr(refine_module, "_HASH_TABLE", TABLES[table](refine_module._HASH_TABLE))
+        calls.clear()
+        assert _row_ids(rows, spans)[0].tolist() == [0, 1, 0]
+        assert len(calls) == fallbacks
+        # equal rows with equal codes are no collision
+        assert _row_ids(same, spans)[0].tolist() == [0, 0, 0]
+        assert len(calls) == fallbacks
+
+
+@pytest.fixture
+def colliding_row_codes(monkeypatch):
+    """Every :func:`_row_ids` call of a round hashes its rows, all to code 0,
+    so each call with two different rows takes the fallback; yields the list
+    of the calls' fallback flags."""
+    refine_module = sys.modules["ncwl.refine"]
+    real, fallbacks = refine_module._row_ids, []
+
+    def hashed(rows, spans):
+        # spans this wide overflow the radix from two columns on
+        if rows.shape[1] > 1:
+            fallbacks.append(bool((rows != rows[:1]).any()))
+        return real(rows, np.full(len(spans), 2**63 - 1))
+
+    monkeypatch.setattr(refine_module, "_row_ids", hashed)
+    monkeypatch.setattr(refine_module, "_HASH_TABLE", np.zeros(3, dtype=np.uint64))
+    yield fallbacks
+
+
+class TestRoundsWithCollidingRowCodes:
+    """Both sort engines equal the interning reference when every row code collides."""
+
+    def test_node_rounds(self, colliding_row_codes):
+        rng = random.Random("colliding node rounds")
+        for method in NODE_METHODS:
+            for entry in load_corpus():
+                pair = list(entry.graphs())
+                assert_node_sorting_matches_interning(pair, method)
+            for n in (6, 12, 40):
+                g = random_gnp(rng, n, 0.4, num_labels=2)
+                assert_node_sorting_matches_interning([g, permute_graph(g, list(range(n))[::-1])], method)
+            assert_node_sorting_matches_interning([star_graph(30), wheel_graph(30)], method)
+        assert sum(colliding_row_codes) > 20
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_tuple_rounds(self, colliding_row_codes, k):
+        rng = random.Random(f"colliding {k}-tuple rounds")
+        for entry in load_corpus():
+            assert_sorting_matches_interning(list(entry.graphs()), k)
+        for n in (5, 8):
+            g = random_gnp(rng, n, 0.5, num_labels=2)
+            h = permute_graph(g, list(range(n))[::-1])
+            assert_sorting_matches_interning([g, h, random_gnp(rng, n, 0.5)], k)
+        assert sum(colliding_row_codes) > 10
+
+
+def test_row_ids_never_copy_the_rows():
+    # the nc1wl rows of a G(700, 19600) and a permuted twin past round 1:
+    # 1400 rows of a few hundred columns that hash, half of them repeated
+    g = random_gnm(random.Random("row memory"), 700, 19600)
+    union = disjoint_union(g, permute_graph(g, list(range(700))[::-1]))[0]
+    (cls,), ends = _width_classes(union, True)
+    step = partial(_node_round, [cls], ends, union.labels)
+    colors = step(step(None))
+    k = int(colors.max()) + 1
+    a, b = colors[ends[0]], colors[ends[1]]
+    source = np.concatenate((colors, [-1], np.minimum(a, b) * k + np.maximum(a, b), [-1]))
+    rows = source[cls.index]
+    rows[:, : cls.pairs].sort(axis=1)
+    rows[:, cls.pairs : -1].sort(axis=1)
+    spans = np.repeat((k * k + 1, k + 1, k), (cls.pairs, rows.shape[1] - cls.pairs - 1, 1))
+    assert rows.shape[0] == 1400 and rows.shape[1] > 300 and not _multipliers(spans)[1]
+    tracemalloc.start()
+    try:
+        ids, _ = _row_ids(rows, spans)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the twin lists the nodes in reverse
+    assert np.array_equal(ids[700:], ids[699::-1]) and int(ids.max()) + 1 == 700
+    # a dozen arrays of one entry per row, and a quarter of the rows beyond them
+    assert peak < 12 * 8 * len(rows) + rows.nbytes // 4
 
 
 def assert_node_sorting_matches_interning(graph_list, method):
