@@ -33,19 +33,18 @@ colors, reusing small ids across rounds cannot merge classes.
 
 "One sort" gives each entity one int64 code and groups equal codes by one
 ``np.argsort``. The wide keys, a node's row and a fiber, are matrices with
-one row per entity, whose columns' spans the round knows: the class count
-K bounds every color. :func:`_row_ids` codes each row by one matrix-vector
-product, in the spans' mixed radix where it fits in int64 (exact) and by
-fixed odd 64-bit multipliers otherwise, comparing every pair of sorted
-rows with equal codes then, and handing the rows to :func:`_dense_ids` on
-a collision. The narrow keys, round 0 of the tuple methods and their
-(k+1)-integer rows, go to :func:`_dense_ids`, which packs them exactly,
-one key row at a time (ranking the code so far where the next digit would
-overflow). On the benchmark's inputs (2 vCPUs) the row codes took nc1wl
-rounds of the tri-dense ``compare`` union from about 21 to 10 ms, and of
-the mesh-rounds union from 29 to 21 ms, against :func:`_dense_ids` on the
-same rows. No hash collided: 256 of the 764 relabels in one seed-0 pass
-of the four workloads hashed.
+one row per entity. :func:`_row_ids` hashes each row by one matrix-vector
+product with fixed odd 64-bit multipliers, compares every pair of sorted
+rows with equal codes, and hands the rows to :func:`_dense_ids` on a
+collision, so the ids are exact whatever the rows hold. The narrow keys,
+round 0 of the tuple methods and their (k+1)-integer rows, go to
+:func:`_dense_ids`, which packs them exactly, one key row at a time
+(ranking the code so far where the next digit would overflow). On the
+benchmark's seed-0 ``compare`` unions (2 vCPUs) the row codes take nc1wl
+rounds of tri-dense in about half the time of :func:`_dense_ids` on the
+same rows (11-15 vs 23-32 ms), and of mesh-rounds in about three quarters
+(22 vs 30 ms). No hash collided in the 1157 :func:`_row_ids` calls of one
+in-process seed-0 pass of the four workloads.
 
 The ids equal those a fresh interner gives the canonical signature tuples
 (multisets sorted, pairs as (min, max)), bit for bit. The node methods
@@ -80,7 +79,6 @@ runs as partitions, round by round.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, groupby
@@ -288,6 +286,9 @@ def _dense_ids(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     costs a few numpy calls per key row, so it serves the narrow keys:
     round 0 of the tuple methods, their (k+1)-row keys of own color and
     fiber ids, and the rows where :func:`_row_ids` finds a hash collision.
+    Hashing the narrow keys by :func:`_row_ids` instead, which must copy
+    them into rows and check every repeated one, took the 3wl rounds of a
+    G(101, 0.3) and a permuted twin from 1.2-1.7 to 2.4-2.5 s (2 vCPUs).
     """
     m = keys.shape[1]
     if m == 0:
@@ -332,48 +333,30 @@ _HASH_STRIDE = np.uint64(0x9E3779B97F4A7C15)
 _CHECK_BYTES = 1 << 18
 
 
-def _multipliers(spans: np.ndarray) -> tuple[np.ndarray, bool]:
-    """The uint64 multipliers of columns of the given int64 ``spans``, and
-    whether they are the spans' mixed radix, which codes rows injectively.
-
-    The radix needs every partial product to fit in int64; at most 63
-    spans above 1 can. Past that, the multipliers hash.
-    """
-    width = len(spans)
-    big = spans[spans > 1]
-    if len(big) <= 63 and math.prod(big.tolist()) <= _INT64_MAX:
-        radix = np.ones(width, dtype=np.int64)
-        radix[:-1] = np.cumprod(spans[:0:-1])[::-1]
-        return radix.view(np.uint64), True
+def _multipliers(width: int) -> np.ndarray:
+    """The uint64 hash multipliers of ``width`` columns (:data:`_HASH_TABLE`)."""
     table = _HASH_TABLE
     if width <= len(table):
-        return table[:width], False
+        return table[:width]
     column = np.arange(width, dtype=np.uint64)
     length = np.uint64(len(table))
-    return table[column % length] * np.power(_HASH_STRIDE, column // length), False
+    return table[column % length] * np.power(_HASH_STRIDE, column // length)
 
 
-def _row_ids(rows: np.ndarray, spans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _row_ids(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The ids :func:`_dense_ids` gives ``rows.T``, from one code per row.
 
-    ``rows`` is a C-contiguous int64 matrix with one row per entity, and
-    every value of its column j lies in a window of ``spans[j]``
-    consecutive integers. Each row gets the code ``rows @ mult`` modulo
-    2**64 (:func:`_multipliers`), and one ``np.argsort`` groups equal
-    codes. With the spans' mixed radix as ``mult`` the codes are exact:
-    two rows' codes differ by the sum of their digit differences times the
-    radix, under 2**63 in magnitude and zero only for equal digits. Else
-    the codes hash, and every sorted row whose code equals its
-    predecessor's is compared with that row (:func:`_hash_collides`); on a
-    mismatch the rows go to :func:`_dense_ids`. So the ids are exact
-    whatever the multipliers.
+    ``rows`` is a C-contiguous int64 matrix with one row per entity. Each
+    row gets the hash code ``rows @ mult`` modulo 2**64 (:func:`_multipliers`),
+    and one ``np.argsort`` groups equal codes. Every sorted row whose code
+    equals its predecessor's is then compared with that row
+    (:func:`_hash_collides`); on a mismatch the rows go to
+    :func:`_dense_ids`. So the ids are exact whatever the multipliers.
     """
-    m = rows.shape[0]
-    if m == 0:
+    if len(rows) == 0:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.intp)
-    mult, exact = _multipliers(spans)
-    order, starts, group = _groups(rows.view(np.uint64) @ mult)
-    if not exact and _hash_collides(rows, order, starts):
+    order, starts, group = _groups(rows.view(np.uint64) @ _multipliers(rows.shape[1]))
+    if _hash_collides(rows, order, starts):
         return _dense_ids(rows.T)
     return _first_occurrence_ids(order, starts, group)
 
@@ -382,14 +365,12 @@ def _hash_collides(rows: np.ndarray, order: np.ndarray, starts: np.ndarray) -> b
     """Whether some row of ``rows`` in the sorted ``order`` differs from its
     predecessor although :func:`_groups` put them in one group.
 
-    The rows are gathered and compared :data:`_CHECK_BYTES` at a time, and
-    a row wider than half that is compared in place, so the check never
-    copies more than a block of the rows.
+    The rows and their predecessors are gathered and compared
+    :data:`_CHECK_BYTES` at a time, or one pair at a time where a row is
+    wider than that, so the check copies at most two blocks or two rows.
     """
     repeats = np.flatnonzero(~starts)
-    step = _CHECK_BYTES // max(1, rows.strides[0])
-    if step < 2:
-        return any((rows[order[i]] != rows[order[i - 1]]).any() for i in repeats.tolist())
+    step = max(1, _CHECK_BYTES // max(1, rows.strides[0]))
     for i in range(0, len(repeats), step):
         at = repeats[i : i + step]
         if (rows[order[at]] != rows[order[at - 1]]).any():
@@ -483,10 +464,9 @@ def _node_round(
     gathers its rows [pair codes, neighbor colors, own color], sorts the
     codes and the neighbor colors of each row, and relabels the rows with
     one :func:`_row_ids`. Padding slots hold -1, which no real entry takes,
-    so equal rows have equal degree and pair count, and a pair slot spans
-    K**2 + 1 values, a neighbor slot K + 1 and the own color K. The
-    classes, holding disjoint signatures, merge into global ids by the
-    rank of each group's first node. The ids equal :func:`_intern_round`'s
+    so equal rows have equal degree and pair count. The classes, holding
+    disjoint signatures, merge into global ids by the rank of each group's
+    first node. The ids equal :func:`_intern_round`'s
     over one :class:`_NodeUniverse`.
     """
     if colors is None:
@@ -502,9 +482,7 @@ def _node_round(
         rows = source[cls.index]
         rows[:, : cls.pairs].sort(axis=1)
         rows[:, cls.pairs : -1].sort(axis=1)
-        # rows: sorted pair codes from -1, sorted neighbor colors from -1, own color
-        spans = np.repeat((k * k + 1, k + 1, k), (cls.pairs, rows.shape[1] - cls.pairs - 1, 1))
-        parts.append(_row_ids(rows, spans))
+        parts.append(_row_ids(rows))
     firsts = np.concatenate([cls.nodes[first] for cls, (_, first) in zip(classes, parts)])
     rank = np.empty(len(firsts), dtype=np.int64)
     rank[np.argsort(firsts)] = np.arange(len(firsts))
@@ -537,10 +515,9 @@ def _sort_round(graphs: Sequence[Graph], k: int, colors: np.ndarray | None) -> n
     counts. A later round takes graphs of one node count n: one stack, a
     (graphs, n, ..., n) array, whose fibers along one tuple position are
     sorted by one ``np.sort``; it raises ValueError for mixed node counts.
-    The k positions' sorted fibers, one contiguous row each with n colors
-    below the class count K, get their ids from one :func:`_row_ids`, and
-    the (k+1)-integer rows of own color and fiber ids theirs from
-    :func:`_dense_ids`. The ids equal :func:`_intern_round`'s over one
+    The k positions' sorted fibers, one contiguous row of n colors each,
+    get their ids from one :func:`_row_ids`, and the (k+1)-integer rows of
+    own color and fiber ids theirs from :func:`_dense_ids`. The ids equal :func:`_intern_round`'s over one
     interning tuple universe (kept with the tests) per graph.
     """
     if colors is None:
@@ -552,8 +529,7 @@ def _sort_round(graphs: Sequence[Graph], k: int, colors: np.ndarray | None) -> n
         return colors
     cube = colors.reshape((len(graphs),) + (n,) * k)
     fibers = [np.sort(cube.transpose(axes).reshape(-1, n), axis=-1) for axes in _FIBER_AXES[k]]
-    spans = np.full(n, int(colors.max()) + 1)
-    fiber_ids = _row_ids(np.concatenate(fibers), spans)[0].reshape((k,) + cube.shape[:-1])
+    fiber_ids = _row_ids(np.concatenate(fibers))[0].reshape((k,) + cube.shape[:-1])
     rows = np.empty((k + 1,) + cube.shape, dtype=np.int64)
     rows[0] = cube
     for i in range(k):
@@ -623,11 +599,13 @@ def _rounds(step: Callable[[np.ndarray | None], np.ndarray]) -> Iterator[np.ndar
 #: engine: the suite's corpus check (one ``compare`` per entry and method),
 #: :func:`_verdicts` chunks of under 32 nodes (``ncwl suite --random-pairs
 #: 1``) and library calls on tiny graphs. CPU time per joint run of two
-#: G(n, p), interning vs sorting, 2 vCPUs (the rounds of one union, its
-#: index built once; median of 30 seeded unions, 20 runs each), with
-#: :func:`_row_ids`: unions of 10 nodes 37-64 vs 132-277 us, 20 nodes
-#: 77-164 vs 204-232 us, 40 nodes 165-687 vs 249-272 us, 80 nodes 348-6165
-#: vs 251-609 us, over p in {0.15, 0.5} and both methods.
+#: G(n/2, p), interning vs sorting, 2 vCPUs (the rounds of one union, its
+#: index built once; median of 30 seeded unions, 20 runs each, then of 3
+#: runs), with every row code hashed and checked by :func:`_row_ids`:
+#: unions of 10 nodes 52-94 vs 165-269 us, 20 nodes 155-246 vs 240-357 us,
+#: 40 nodes 295-1064 vs 258-371 us, 80 nodes 452-6383 vs 185-466 us, over p
+#: in {0.15, 0.5} and both methods. The machine's speed swung up to 2x
+#: between runs, so compare the two engines within a size.
 _SORT_MIN_NODES = 32
 
 

@@ -1,11 +1,9 @@
 from __future__ import annotations
 
-import math
 import random
 import sys
 import tracemalloc
 from collections import Counter
-from contextlib import contextmanager
 from functools import partial
 
 import numpy as np
@@ -298,28 +296,9 @@ class TestCompare:
                 assert all(type(x) is int for x in values)
 
 
-@contextmanager
-def row_spans_checked():
-    """Checks that the values of every column :func:`_row_ids` is given lie
-    in a window of the column's span, as its codes require."""
-    refine_module = sys.modules["ncwl.refine"]
-    real = refine_module._row_ids
-
-    def checked(rows, spans):
-        assert len(spans) == rows.shape[1]
-        if len(rows):
-            assert (rows.max(axis=0) - rows.min(axis=0) < spans).all()
-        return real(rows, spans)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(refine_module, "_row_ids", checked)
-        yield
-
-
 def assert_rounds_equal(step, reference):
     """Both steps give the same int64 color arrays, round by round; returns them."""
-    with row_spans_checked():
-        rounds = list(_rounds(step))
+    rounds = list(_rounds(step))
     expected = list(_rounds(reference))
     assert len(rounds) == len(expected)
     for got, want in zip(rounds, expected):
@@ -463,10 +442,6 @@ def test_packed_dense_ids_equal_the_lexsort_ids(keys):
     assert np.array_equal(keys, before)
 
 
-#: Column spans of :func:`row_matrices`: products of two or three of them
-#: fall on both sides of 2**63 - 1, the largest mixed radix the codes take.
-SPANS = (1, 2, 3, 7, 2**21 + 1, 2**31 - 1, 2**32, 2**32 + 1, 2**62, 2**63 - 1)
-
 #: Hash tables :func:`_row_ids` may be given in place of its own: its first
 #: entries, which wider rows outrun, and tables whose codes collide.
 TABLES = {
@@ -480,39 +455,26 @@ TABLES = {
 
 @st.composite
 def row_matrices(draw):
-    """(rows, spans): 0-40 int64 rows of 1-12 columns, drawn from a pool of
-    1-6 distinct rows; column j takes values in ``range(lo, lo + spans[j])``,
-    lo 0 or the padding sentinel -1, and is often at the window's ends."""
+    """0-40 int64 rows of 1-12 columns, drawn from a pool of 1-6 distinct
+    rows, whose entries are often the int64 extremes or near 0 and the
+    padding sentinel -1."""
     width = draw(st.integers(1, 12))
-    spans = draw(st.lists(st.sampled_from(SPANS), min_size=width, max_size=width))
-    los = draw(st.lists(st.sampled_from((0, -1)), min_size=width, max_size=width))
-
-    def value(lo, span):
-        ends = st.sampled_from(sorted({lo, lo + min(1, span - 1), lo + span - 1}))
-        return ends | st.integers(lo, lo + span - 1)
-
-    pool = [
-        [draw(value(lo, span)) for lo, span in zip(los, spans)] for _ in range(draw(st.integers(1, 6)))
-    ]
+    extremes = st.sampled_from([INT64.min, INT64.min + 1, -1, 0, 1, INT64.max])
+    row = st.lists(extremes | st.integers(INT64.min, INT64.max), min_size=width, max_size=width)
+    pool = [draw(row) for _ in range(draw(st.integers(1, 6)))]
     picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=40))
-    rows = np.array([pool[i] for i in picks], dtype=np.int64).reshape(len(picks), width)
-    return rows, np.array(spans, dtype=np.int64)
+    return np.array([pool[i] for i in picks], dtype=np.int64).reshape(len(picks), width)
 
 
 @given(row_matrices(), st.sampled_from(sorted(TABLES)), st.sampled_from((None, 1, 8, 24)))
-@example((np.zeros((3, 0), dtype=np.int64), np.zeros(0, dtype=np.int64)), "own", None)
+@example(np.zeros((3, 0), dtype=np.int64), "own", None)
 # the duplicates of a row straddle blocks of one to three rows
-@example((np.array([[5, -1]] * 7 + [[4, 9]] * 2 + [[5, -1]], dtype=np.int64), np.array([2**62] * 2)), "own", 8)
-@example((np.array([[0, 1], [1, 0], [0, 1]] * 3, dtype=np.int64), np.array([2**62] * 2)), "ones", 24)
+@example(np.array([[5, -1]] * 7 + [[4, 9]] * 2 + [[5, -1]], dtype=np.int64), "own", 8)
+@example(np.array([[0, 1], [1, 0], [0, 1]] * 3, dtype=np.int64), "ones", 24)
 # widths past the table: three rows of 1100 columns, two of them equal
-@example(
-    (np.array([[0] * 1100, [1] + [0] * 1099, [0] * 1100], dtype=np.int64), np.full(1100, 3)),
-    "own",
-    None,
-)
+@example(np.array([[0] * 1100, [1] + [0] * 1099, [0] * 1100], dtype=np.int64), "own", None)
 @settings(max_examples=300, deadline=None)
-def test_row_ids_equal_the_lexsort_ids(case, table, check_bytes):
-    rows, spans = case
+def test_row_ids_equal_the_lexsort_ids(rows, table, check_bytes):
     before = rows.copy()
     refine_module = sys.modules["ncwl.refine"]
     with pytest.MonkeyPatch.context() as mp:
@@ -520,9 +482,7 @@ def test_row_ids_equal_the_lexsort_ids(case, table, check_bytes):
             mp.setattr(refine_module, "_HASH_TABLE", TABLES[table](refine_module._HASH_TABLE))
         if check_bytes:
             mp.setattr(refine_module, "_CHECK_BYTES", check_bytes)
-        ids, first = _row_ids(rows, spans)
-        exact = _multipliers(spans)[1]
-    assert exact == (math.prod(spans.tolist()) <= 2**63 - 1)
+        ids, first = _row_ids(rows)
     if rows.shape[1]:
         want_ids, want_first = lexsort_dense_ids(rows.T)
     else:
@@ -538,35 +498,41 @@ def test_row_ids_fall_back_on_a_collision_only(monkeypatch):
     refine_module = sys.modules["ncwl.refine"]
     calls = []
     monkeypatch.setattr(refine_module, "_dense_ids", lambda keys: calls.append(keys) or _dense_ids(keys))
-    spans = np.array([2**62, 2**62])
     rows = np.array([[1, 2], [3, 4], [1, 2]], dtype=np.int64)
     same = np.array([[1, 2]] * 3, dtype=np.int64)
     for table, fallbacks in (("own", 0), ("zeros", 1)):
         if TABLES[table]:
             monkeypatch.setattr(refine_module, "_HASH_TABLE", TABLES[table](refine_module._HASH_TABLE))
         calls.clear()
-        assert _row_ids(rows, spans)[0].tolist() == [0, 1, 0]
+        assert _row_ids(rows)[0].tolist() == [0, 1, 0]
         assert len(calls) == fallbacks
         # equal rows with equal codes are no collision
-        assert _row_ids(same, spans)[0].tolist() == [0, 0, 0]
+        assert _row_ids(same)[0].tolist() == [0, 0, 0]
         assert len(calls) == fallbacks
+
+
+def test_row_ids_take_a_collision_of_the_shipped_table():
+    # m1 * m0 + (-m0) * m1 is 0 modulo 2**64: the middle row codes as the zero rows do
+    m0, m1 = (int(m) for m in _multipliers(2))
+    rows = np.array([[0, 0], [m1, -m0 % 2**64], [0, 0]], dtype=np.uint64).view(np.int64)
+    assert (rows.view(np.uint64) @ _multipliers(2)).tolist() == [0, 0, 0]
+    ids, first = _row_ids(rows)
+    assert ids.tolist() == [0, 1, 0] and first.tolist() == [0, 1]
 
 
 @pytest.fixture
 def colliding_row_codes(monkeypatch):
-    """Every :func:`_row_ids` call of a round hashes its rows, all to code 0,
-    so each call with two different rows takes the fallback; yields the list
+    """Every :func:`_row_ids` call of a round codes its rows all to 0, so
+    each call with two different rows takes the fallback; yields the list
     of the calls' fallback flags."""
     refine_module = sys.modules["ncwl.refine"]
     real, fallbacks = refine_module._row_ids, []
 
-    def hashed(rows, spans):
-        # spans this wide overflow the radix from two columns on
-        if rows.shape[1] > 1:
-            fallbacks.append(bool((rows != rows[:1]).any()))
-        return real(rows, np.full(len(spans), 2**63 - 1))
+    def recorded(rows):
+        fallbacks.append(bool((rows != rows[:1]).any()))
+        return real(rows)
 
-    monkeypatch.setattr(refine_module, "_row_ids", hashed)
+    monkeypatch.setattr(refine_module, "_row_ids", recorded)
     monkeypatch.setattr(refine_module, "_HASH_TABLE", np.zeros(3, dtype=np.uint64))
     yield fallbacks
 
@@ -612,11 +578,10 @@ def test_row_ids_never_copy_the_rows():
     rows = source[cls.index]
     rows[:, : cls.pairs].sort(axis=1)
     rows[:, cls.pairs : -1].sort(axis=1)
-    spans = np.repeat((k * k + 1, k + 1, k), (cls.pairs, rows.shape[1] - cls.pairs - 1, 1))
-    assert rows.shape[0] == 1400 and rows.shape[1] > 300 and not _multipliers(spans)[1]
+    assert rows.shape[0] == 1400 and rows.shape[1] > 300
     tracemalloc.start()
     try:
-        ids, _ = _row_ids(rows, spans)
+        ids, _ = _row_ids(rows)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
