@@ -21,30 +21,41 @@ the exponents and compute it as one integer digit sum
 ``sum(N**(top - e)) / N**top``, normalised once; the decoder reads the
 base-N digits of the integer ``value * N**bound``. A :class:`CodecContext`
 fixes the base and the exponent assignments for a session; encoded values
-from different contexts are not comparable.
+from different contexts are not comparable. It also keeps a table of the
+powers N**k, grown on demand, and the unit fractions 1/N**e that ``f1``,
+``f2`` and the epsilon coefficients return, both only for exponents below
+``_TABLE_LIMIT``: a larger one is computed per call, so no context holds a
+table that grows with the square of its largest exponent.
+
+A centered value is an :class:`EpsilonValue`, a named tuple: it equals the
+plain tuple ``(rational, epsilon_coeff)`` too, and unpacks to it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import gcd
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, NamedTuple, Sequence
 
 ExactRational = Fraction
+
+#: Exponents below this have their power N**e and unit fraction 1/N**e kept
+#: by the context. The table of powers up to e holds about e**2 / 2 * log2(N)
+#: bits, so a context that interns thousands of values, or a multiset with a
+#: huge natural, computes its larger powers per call instead.
+_TABLE_LIMIT = 1024
 
 
 class CodecError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class EpsilonValue:
+class EpsilonValue(NamedTuple):
     """``rational + eps * epsilon_coeff`` with eps a formal symbol.
 
     Equality (the only operation the injectivity arguments need) is
-    componentwise, provided by the dataclass.
+    componentwise: that of the tuple ``(rational, epsilon_coeff)``.
     """
 
     rational: Fraction
@@ -52,7 +63,8 @@ class EpsilonValue:
 
 
 class CodecContext:
-    """Session state: the base N and the two exponent interning maps.
+    """Session state: the base N, the two exponent interning maps, and the
+    powers N**k and unit fractions 1/N**e built so far.
 
     Elements are assigned odd exponents 1, 3, 5, ... in first-seen order;
     encoded pair values get even exponents 0, 2, 4, ... Seed the element map
@@ -69,8 +81,10 @@ class CodecContext:
         self.base = int(base)
         self._element_exponents: dict[Hashable, int] = {}
         self._pair_exponents: dict[Fraction, int] = {}
-        # pair exponents by the sorted element exponents of the pair
+        # pair exponents by the element exponents of the pair, in both orders
         self._pair_terms: dict[tuple[int, int], int] = {}
+        self._powers = [1]
+        self._unit_fractions: dict[int, Fraction] = {}
 
     def seed_elements(self, elements: Iterable[Hashable]) -> None:
         for x in elements:
@@ -84,7 +98,7 @@ class CodecContext:
         return exp
 
     def f1(self, x: Hashable) -> Fraction:
-        return Fraction(1, self.base ** self.element_exponent(x))
+        return self._unit_fraction(self.element_exponent(x))
 
     def pair_exponent(self, value: Fraction) -> int:
         exp = self._pair_exponents.get(value)
@@ -94,23 +108,46 @@ class CodecContext:
         return exp
 
     def f2(self, value: Fraction) -> Fraction:
-        return Fraction(1, self.base ** self.pair_exponent(value))
+        return self._unit_fraction(self.pair_exponent(value))
 
     def _pair_term(self, e1: int, e2: int) -> int:
         """``pair_exponent(f1(w1) + f1(w2))`` from the element exponents of w1, w2."""
-        key = (e1, e2) if e1 <= e2 else (e2, e1)
-        exp = self._pair_terms.get(key)
+        exp = self._pair_terms.get((e1, e2))
         if exp is None:
-            lo, hi = key
+            lo, hi = (e1, e2) if e1 <= e2 else (e2, e1)
             exp = self.pair_exponent(Fraction(self.base ** (hi - lo) + 1, self.base**hi))
-            self._pair_terms[key] = exp
+            self._pair_terms[e1, e2] = self._pair_terms[e2, e1] = exp
         return exp
 
+    def _power_table(self, top: int) -> list[int] | None:
+        """The powers N**0, ..., N**top and maybe more, or None from ``_TABLE_LIMIT`` on."""
+        powers = self._powers
+        if top >= len(powers):
+            if top >= _TABLE_LIMIT:
+                return None
+            base = self.base
+            while len(powers) <= top:
+                powers.append(powers[-1] * base)
+        return powers
 
-def _digit_sum(base: int, exponents: list[int]) -> Fraction:
-    """``sum(base**-e for e in exponents)`` exactly, normalised once."""
+    def _unit_fraction(self, e: int) -> Fraction:
+        """``Fraction(1, N**e)``, built once per exponent below ``_TABLE_LIMIT``."""
+        unit = self._unit_fractions.get(e)
+        if unit is None:
+            unit = Fraction(1, self.base**e)
+            if e < _TABLE_LIMIT:
+                self._unit_fractions[e] = unit
+        return unit
+
+
+def _digit_sum(ctx: CodecContext, exponents: list[int]) -> Fraction:
+    """``sum(N**-e for e in exponents)`` exactly, normalised once."""
     top = max(exponents, default=0)
-    return Fraction(sum([base ** (top - e) for e in exponents]), base**top)
+    powers = ctx._power_table(top)
+    if powers is None:
+        base = ctx.base
+        return Fraction(sum([base ** (top - e) for e in exponents]), base**top)
+    return Fraction(sum([powers[top - e] for e in exponents]), powers[top])
 
 
 def encode_multiset(ctx: CodecContext, naturals: Iterable[int]) -> Fraction:
@@ -124,7 +161,7 @@ def encode_multiset(ctx: CodecContext, naturals: Iterable[int]) -> Fraction:
     for z in xs:
         if not isinstance(z, int) or z < 0:
             raise CodecError(f"multiset elements must be natural numbers, got {z!r}")
-    return _digit_sum(ctx.base, xs)
+    return _digit_sum(ctx, xs)
 
 
 def _max_exponent(value: Fraction, base: int) -> int:
@@ -187,6 +224,9 @@ def _pairwise_exponents(
 
     Interns in the order of the value-keyed construction: the elements of
     X, then both ends of each pair, then each pair's value f1(w1) + f1(w2).
+    Exponents interned already are read straight from the maps. Element
+    exponents are odd, never 0, so ``known(x) or intern(x)`` interns exactly
+    the new elements.
     """
     xs = list(elements)
     ws = list(pairs)
@@ -194,9 +234,14 @@ def _pairwise_exponents(
         raise CodecError(
             f"total cardinality {len(xs) + len(ws)} must be below the base {ctx.base}"
         )
-    exponents = [ctx.element_exponent(x) for x in xs]
-    ends = [(ctx.element_exponent(w1), ctx.element_exponent(w2)) for w1, w2 in ws]
-    exponents.extend([ctx._pair_term(e1, e2) for e1, e2 in ends])
+    known, intern = ctx._element_exponents.get, ctx.element_exponent
+    exponents = [known(x) or intern(x) for x in xs]
+    ends = [(known(w1) or intern(w1), known(w2) or intern(w2)) for w1, w2 in ws]
+    terms = ctx._pair_terms
+    try:
+        exponents.extend([terms[end] for end in ends])
+    except KeyError:  # a new pair value: intern the values in order
+        exponents.extend([ctx._pair_term(e1, e2) for e1, e2 in ends])
     return exponents
 
 
@@ -208,7 +253,7 @@ def encode_pairwise(ctx: CodecContext, elements: Iterable[Hashable], pairs: Iter
     interned to an even exponent. Distinct (X, W) give distinct rationals
     within one context while |X| + |W| stays below the base.
     """
-    return _digit_sum(ctx.base, _pairwise_exponents(ctx, elements, pairs))
+    return _digit_sum(ctx, _pairwise_exponents(ctx, elements, pairs))
 
 
 def encode_centered(
@@ -223,10 +268,7 @@ def encode_centered(
     center_exponent = ctx.element_exponent(center)
     exponents = _pairwise_exponents(ctx, elements, pairs)
     exponents.append(center_exponent)
-    return EpsilonValue(
-        rational=_digit_sum(ctx.base, exponents),
-        epsilon_coeff=Fraction(1, ctx.base**center_exponent),
-    )
+    return EpsilonValue(_digit_sum(ctx, exponents), ctx._unit_fraction(center_exponent))
 
 
 def _exact_key(value):

@@ -56,11 +56,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 from itertools import chain, compress, count, islice
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 #: Largest node count a graph may have. Checked before anything is allocated
 #: for it, so a two-line file cannot ask for billions of adjacency lists.
@@ -709,6 +711,9 @@ def _neighbor_edge_total(g: Graph, cap: int) -> int:
 
 def stats(g: Graph) -> GraphStats:
     """Structural counts; each triangle contributes one pair to each corner."""
+    # imported here, so that only a caller of stats loads fractions and decimal
+    from fractions import Fraction
+
     counts = neighbor_edge_arrays(g)[0]
     per_node = tuple(counts.tolist())
     total = sum(per_node)

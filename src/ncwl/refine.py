@@ -365,16 +365,21 @@ def _hash_collides(rows: np.ndarray, order: np.ndarray, starts: np.ndarray) -> b
     """Whether some row of ``rows`` in the sorted ``order`` differs from its
     predecessor although :func:`_groups` put them in one group.
 
-    The rows and their predecessors are gathered and compared
-    :data:`_CHECK_BYTES` at a time, or one pair at a time where a row is
-    wider than that, so the check copies at most two blocks or two rows.
+    The repeats are found one window of ``_CHECK_BYTES // 8`` positions at
+    a time, so their indices take at most one block. The rows and their
+    predecessors are gathered and compared :data:`_CHECK_BYTES` at a time,
+    or one pair at a time where a row is wider than that, so the check
+    copies at most two blocks or two rows.
     """
-    repeats = np.flatnonzero(~starts)
+    window = max(1, _CHECK_BYTES // 8)
     step = max(1, _CHECK_BYTES // max(1, rows.strides[0]))
-    for i in range(0, len(repeats), step):
-        at = repeats[i : i + step]
-        if (rows[order[at]] != rows[order[at - 1]]).any():
-            return True
+    for first in range(0, len(starts), window):
+        repeats = np.flatnonzero(~starts[first : first + window])
+        repeats += first
+        for i in range(0, len(repeats), step):
+            at = repeats[i : i + step]
+            if (rows[order[at]] != rows[order[at - 1]]).any():
+                return True
     return False
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -171,6 +172,22 @@ class TestEncodeCentered:
         b = encode_centered(ctx, "x1", ["x3"], [])
         assert a.epsilon_coeff == b.epsilon_coeff
         assert a.rational != b.rational
+
+
+class TestEpsilonValue:
+    def test_a_named_tuple_of_its_two_parts(self):
+        value = EpsilonValue(rational=Fraction(6, 5), epsilon_coeff=Fraction(1, 5))
+        assert repr(value) == "EpsilonValue(rational=Fraction(6, 5), epsilon_coeff=Fraction(1, 5))"
+        twin, swapped = EpsilonValue(Fraction(6, 5), Fraction(1, 5)), EpsilonValue(*value[::-1])
+        assert value == twin and hash(value) == hash(twin)
+        assert value != swapped and len({value, twin, swapped}) == 2
+        assert value == (Fraction(6, 5), Fraction(1, 5))
+        rational, epsilon_coeff = value
+        assert (rational, epsilon_coeff) == (value.rational, value.epsilon_coeff)
+        with pytest.raises(AttributeError):
+            value.rational = Fraction(0)
+        copy = pickle.loads(pickle.dumps(value))
+        assert type(copy) is EpsilonValue and copy == value
 
 
 class TestContext:

@@ -10,6 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -134,3 +135,65 @@ def test_decoding_an_encoding_matches_the_reference(base, xs):
     assert value == reference.encode_multiset(CodecContext(base=base), xs)
     assert codec.decode_multiset(value, base) == reference.decode_multiset(value, base)
     assert codec.decode_multiset(value, base) == tuple(sorted(xs))
+
+
+def exact_key(value):
+    """(numerator, denominator), or a pair of them for an EpsilonValue."""
+    if type(value) is EpsilonValue:
+        return exact_key(value.rational), exact_key(value.epsilon_coeff)
+    return value.numerator, value.denominator
+
+
+@pytest.mark.parametrize(("alphabet", "max_card"), [(1, 0), (2, 1), (3, 2), (4, 2)])
+def test_sweep_values_match_the_fraction_reference(monkeypatch, alphabet, max_card):
+    # every encoder call of the sweep is recorded, then replayed on a twin
+    calls = []
+    for name in ("encode_pairwise", "encode_centered"):
+
+        def recorded(ctx, *args, name=name, real=getattr(codec, name)):
+            value = real(ctx, *args)
+            calls.append((name, args, value))
+            return value
+
+        monkeypatch.setattr(codec, name, recorded)
+    base = 2 * max(2 * max_card, 2) + 3
+    symbols = [f"x{i}" for i in range(alphabet)]
+    ours, theirs = CodecContext(base=base), CodecContext(base=base)
+    pairwise, centered = codec.injectivity_sweep(ours, symbols, max_card)
+    assert len(calls) == pairwise + centered and centered == alphabet * pairwise
+    theirs.seed_elements(symbols)
+    for name, args, value in calls:
+        assert exact_key(value) == exact_key(getattr(reference, name)(theirs, *args)), args
+    assert interned(ours) == interned(theirs)
+
+
+def test_values_match_the_reference_as_the_power_table_is_outgrown(monkeypatch):
+    # base 5 and a table limit of 13: the table grows as new elements and
+    # pair values get larger exponents, then exponents reach the limit
+    limit = 13
+    monkeypatch.setattr(codec, "_TABLE_LIMIT", limit)
+    ours, theirs = CodecContext(base=5), CodecContext(base=5)
+    calls = [
+        ("encode_pairwise", ["a"], [("a", "a")]),
+        ("encode_centered", "b", ["a"], [("a", "b")]),
+        ("encode_multiset", [0, 3]),
+        ("encode_pairwise", ["c", "d"], [("c", "d"), ("d", "a")]),
+        ("encode_multiset", [11, 2, 11]),
+        ("encode_centered", "e", ["f"], [("e", "f")]),
+        ("encode_pairwise", ["g"], [("g", "a")]),
+        ("encode_multiset", [40, 0, 12]),
+        ("encode_centered", "a", ["g"], [("g", "g"), ("f", "e")]),
+        ("encode_pairwise", ["a"], [("c", "b")]),
+    ]
+    sizes = []
+    for name, *args in calls:
+        value = getattr(codec, name)(ours, *args)
+        assert exact_key(value) == exact_key(getattr(reference, name)(theirs, *args)), args
+        assert interned(ours) == interned(theirs)
+        sizes.append(len(ours._powers))
+    assert sizes == sorted(sizes) and len(set(sizes)) >= 3 and sizes[-1] <= limit
+    assert max(ours._element_exponents.values()) >= limit
+    assert max(ours._pair_exponents.values()) >= limit
+    for x, e in ours._element_exponents.items():
+        assert exact_key(ours.f1(x)) == (1, 5**e)
+    assert max(ours._unit_fractions) < limit

@@ -175,3 +175,26 @@ def test_help_and_codec_check_never_import_numpy(monkeypatch, capsys, argv, exit
     with contextlib.suppress(SystemExit):
         assert main(argv) == exit_code
     assert res.stdout == capsys.readouterr().out
+
+
+def imported_modules(*argv: str) -> set[str]:
+    """The modules a fresh ``python -X importtime -m ncwl`` run of ``argv`` imports."""
+    res = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "ncwl", *argv],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    lines = [line for line in res.stderr.splitlines() if line.startswith("import time:")]
+    return {line.rsplit("|", 1)[1].strip() for line in lines[1:]}
+
+
+def test_commands_import_only_what_they_run():
+    # fresh processes: this one holds dataclasses and fractions already. The
+    # log omits the submodules, which import_module loads, not their imports.
+    codec_check = imported_modules("codec-check", "--alphabet", "4", "--max-card", "2")
+    assert "fractions" in codec_check
+    assert not {"numpy", "dataclasses"} & codec_check
+    corpus_file = os.path.join(os.path.dirname(ncwl.__file__), "corpus_data", "prism.txt")
+    refine = imported_modules("refine", "--method", "nc1wl", corpus_file)
+    assert "numpy" in refine
+    assert "fractions" not in refine

@@ -37,6 +37,7 @@ from ncwl.graph import _union, neighbor_edge_arrays
 from ncwl.refine import (
     _SORT_MIN_NODES,
     _dense_ids,
+    _hash_collides,
     _histogram,
     _intern_round,
     _multipliers,
@@ -509,6 +510,24 @@ def test_row_ids_fall_back_on_a_collision_only(monkeypatch):
         # equal rows with equal codes are no collision
         assert _row_ids(same)[0].tolist() == [0, 0, 0]
         assert len(calls) == fallbacks
+
+
+def test_hash_check_finds_a_mismatch_in_every_window(monkeypatch):
+    # windows of 8 positions and blocks of 4 two-column rows: groups of
+    # positions 0-12 and 13-29 span four windows, and 29 is in the last one
+    monkeypatch.setattr(sys.modules["ncwl.refine"], "_CHECK_BYTES", 64)
+    order = np.arange(30)[::-1].copy()
+    starts = np.zeros(30, dtype=bool)
+    starts[[0, 13]] = True
+    rows = np.zeros((30, 2), dtype=np.int64)
+    rows[order[13:]] = 5
+    assert not _hash_collides(rows, order, starts)
+    for position in range(1, 30):
+        changed = rows.copy()
+        changed[order[position], 1] += 1
+        # a row that starts a group has no predecessor to match, but the
+        # one after it then differs from it
+        assert _hash_collides(changed, order, starts), position
 
 
 def test_row_ids_take_a_collision_of_the_shipped_table():
