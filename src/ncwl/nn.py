@@ -19,10 +19,12 @@ helper that returns the exactly rounded column sum of every group of rows,
 the value ``math.fsum`` returns, so they are independent of summand order:
 layer forwards and the backward's input gradient are bit-exactly
 permutation-equivariant and the readout is bit-exactly
-permutation-invariant. The helper sums all groups at once by a vectorised
-TwoSum cascade that certifies each result, and calls ``math.fsum`` only for
-entries it cannot certify (zero sums, inf, nan, magnitudes that could
-overflow) and for groups too long to be worth a cascade step per row.
+permutation-invariant. The helper splits every entry error-free against a
+power of two chosen per group and column (Rump, Ogita and Oishi, 2008), so
+that both parts sum exactly in any order, and one rounding of the two part
+sums gives fsum's value. It calls ``math.fsum`` only for entries outside
+the split's bounds (zero sums, inf, nan, subnormals, magnitudes that could
+overflow, columns whose exponents spread too far for the group's size).
 Everything is pure and deterministic given its inputs; nothing here trains.
 """
 
@@ -176,79 +178,12 @@ def one_hot_features(g: Graph, num_labels: int) -> np.ndarray:
     return out
 
 
-#: One cascade step (some 20 numpy calls) costs about as much as this many
-#: ``math.fsum`` calls on a short group. On 2 vCPUs, dim 16: a step over
-#: 1-10 groups of 10 rows took 28-31 us, one call on a column of 6-10 rows
-#: 2.1-2.8 us.
-_STEP_COST = 12
-
-
-def _cascade_length(counts: np.ndarray, dim: int) -> int:
-    """The group length L up to which the TwoSum cascade sums a group.
-
-    The cascade costs one vectorised step per slot up to the longest group
-    it takes, a longer group ``dim`` ``math.fsum`` calls; L minimises
-    ``_STEP_COST * L + dim * #(counts > L)``, so one hub does not cost a
-    step per leaf and a few tiny groups skip the cascade.
-    """
-    lengths = np.concatenate(([0], np.sort(counts)))
-    longer = len(counts) - np.searchsorted(lengths[1:], lengths, side="right")
-    return int(lengths[np.argmin(_STEP_COST * lengths + dim * longer)])
-
-
-def _two_sum(a: np.ndarray, b: np.ndarray, t: np.ndarray, z: np.ndarray) -> None:
-    """In place TwoSum: ``a`` becomes fl(a + b) and ``b`` its rounding error.
-
-    Without overflow the new a + b equals the old a + b exactly (Knuth's
-    branch-free TwoSum). ``t`` and ``z`` are scratch arrays of a's shape.
-    """
-    np.add(a, b, out=t)
-    np.subtract(t, a, out=z)
-    np.subtract(b, z, out=b)
-    np.subtract(t, z, out=z)
-    np.subtract(a, z, out=a)
-    np.add(a, b, out=b)
-    np.copyto(a, t)
-
-
-def _sum2_cascade(
-    rows: np.ndarray, first: np.ndarray, widths: np.ndarray, at: np.ndarray | None = None
-):
-    """Column sums of the groups ``rows[first[i] : first[i] + widths[i]]``, widths descending.
-
-    With a gather index ``at`` a group's rows are ``rows[at[first[i] : first[i] + widths[i]]]``.
-    All groups advance together, one slot per step: TwoSum folds the slot
-    into the sum s and its rounding error e into the correction sigma, and a
-    second TwoSum flags every entry whose sigma did not stay exact (Sum2;
-    Ogita, Rump, Oishi 2005). Returns fl(s + sigma) and where it is certified
-    to be the correctly rounded exact sum: sigma stayed exact, so s + sigma
-    is the exact sum; every row is finite and below 2**1020 / width in
-    magnitude, so neither this cascade nor ``math.fsum`` can overflow; and
-    the sum is non-zero, since a zero's sign follows ``math.fsum``'s rule.
-    """
-
-    def slot(i: np.ndarray) -> np.ndarray:
-        return rows[i if at is None else at[i]]
-
-    # inf, nan and overflow surface as non-finite values, which fail the certificate
-    with np.errstate(over="ignore", invalid="ignore"):
-        s = slot(first)
-        sigma = np.zeros_like(s)
-        top, bottom = s.copy(), s.copy()
-        inexact = np.zeros(s.shape, dtype=bool)
-        t, z = np.empty_like(s), np.empty_like(s)
-        # the groups with more than j rows are the first `active` ones
-        running = np.searchsorted(-widths, -np.arange(1, widths[0]), side="left")
-        for j, active in enumerate(running.tolist(), start=1):
-            x = slot(first[:active] + j)
-            np.maximum(top[:active], x, out=top[:active])
-            np.minimum(bottom[:active], x, out=bottom[:active])
-            _two_sum(s[:active], x, t[:active], z[:active])
-            _two_sum(sigma[:active], x, t[:active], z[:active])
-            np.logical_or(inexact[:active], x, out=inexact[:active])
-        hi = s + sigma
-        bounded = np.maximum(top, -bottom) * widths[:, None] < 2.0**1020
-    return hi, bounded & ~inexact & (hi != 0.0)
+#: Entries per block of :func:`_grouped_exact_sums` (rows times columns):
+#: 256 KiB per float64 temporary. On 2 vCPUs, dim 16, random rows, blocks
+#: of 2**12 / 2**14 / 2**15 / 2**16 / 2**17 entries summed the tri-dense
+#: pair term in 12.3 / 7.3 / 6.7 / 7.8 / 8.9 ms, and the mesh neighbor
+#: sums in 2.6 / 1.7 / 1.6 / 2.4 / 2.4 ms.
+_BLOCK_ENTRIES = 2**15
 
 
 def _grouped_exact_sums(
@@ -259,36 +194,85 @@ def _grouped_exact_sums(
     With a gather index ``at`` the rows summed are ``rows[at]``, taken in
     the same groups, without that copy being made. Every entry equals
     ``math.fsum`` of its column, bit for bit, and the same OverflowError or
-    ValueError comes out. Groups up to :func:`_cascade_length` rows go
-    through :func:`_sum2_cascade` at once; the entries it cannot certify,
-    and every longer group, get ``math.fsum``, in (row, column) order.
+    ValueError comes out.
+
+    The split (Rump, Ogita and Oishi, "Accurate floating-point summation,
+    Part I", SISC 2008): let E be the exponent, floor(log2), of the
+    column's largest magnitude over all of ``rows``, e that of its smallest
+    non-zero magnitude, and b the bit length of the group's row count c.
+    With sigma = 2**k, k = E + b + 1, each x of the group splits into
+    q = (sigma + x) - sigma and r = x - q, both exact.
+
+    - Every q is a multiple of 2**(k - 53) and at most 2**(E + 1) in
+      magnitude, so every partial sum of the group's q's is at most
+      c * 2**(E + 1) < sigma: exact, in any order.
+    - Every r is a multiple of 2**(e - 52) and at most 2**(k - 53) in
+      magnitude, so every partial sum of the r's is below
+      2**(E + 2b - 52), which holds 53 bits of that grid when
+      (E - e) + 2b <= 53: exact, in any order.
+
+    So the sum of the q's and the sum of the r's are exact, and their one
+    rounded sum is the exactly rounded group sum, which is fsum's. Both are
+    summed by ``np.add.reduceat`` over blocks of about ``_BLOCK_ENTRIES``
+    entries gathered through ``at``; a group cut by a block edge adds its
+    exact partial sums.
+
+    An entry goes to ``math.fsum`` instead, in (row, column) order, when
+    (E - e) + 2b > 53, when its column holds inf, nan or a subnormal, when
+    k > 1020 (fsum may overflow there, so its error must come out), or when
+    its sum is an exact zero (whose sign follows fsum's rule).
     """
     counts = np.asarray(counts, dtype=np.intp)
     rows = np.asarray(rows, dtype=np.float64)
-    starts = np.cumsum(counts) - counts
     out = np.zeros((len(counts), dim), dtype=dtype)
-    slow = np.zeros(out.shape, dtype=bool)
-    length = _cascade_length(counts, dim)
-    slow[counts > length] = True
-    short = np.flatnonzero((counts > 0) & (counts <= length))
-    if len(short):
-        order = short[np.argsort(-counts[short], kind="stable")]
-        hi, exact = _sum2_cascade(rows, starts[order], counts[order], at)
-        out[order] = np.where(exact, hi, 0.0)
-        slow[order] = ~exact
-    for v, j in zip(*np.nonzero(slow)):
-        group = slice(starts[v], starts[v] + counts[v])
-        out[v, j] = math.fsum(rows[group if at is None else at[group], j].tolist())
+    groups = np.flatnonzero(counts)
+    if not len(groups):
+        return out
+    mag = np.abs(rows)
+    top = mag.max(axis=0)
+    mag[mag == 0.0] = np.inf
+    low = mag.min(axis=0)
+    del mag
+    sizes = counts[groups]
+    bits = np.frexp(sizes)[1][:, None]
+    # frexp's exponent is floor(log2) + 1, so this k is E + b + 1
+    top_exp = np.frexp(top)[1]
+    k = top_exp + bits
+    fits = (k <= 1020) & (top_exp - np.frexp(low)[1] + 2 * bits <= 53)
+    fits &= np.isfinite(top) & (low >= 2.0**-1022)
+    sigma = np.ldexp(1.0, np.where(fits, k, 0))
+    ends = np.cumsum(sizes)
+    sums = np.zeros((2, len(groups), dim))
+    step = max(1, _BLOCK_ENTRIES // dim)
+    # the entries that do not fit may be inf or nan; they are not used
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, int(ends[-1]), step):
+            hi = min(lo + step, int(ends[-1]))
+            a, z = np.searchsorted(ends, [lo, hi - 1], side="right")
+            cut = np.minimum(ends[a : z + 1], hi) - lo
+            offsets = np.concatenate(([0], cut[:-1]))
+            x = rows[lo:hi] if at is None else rows.take(at[lo:hi], axis=0)
+            s = np.repeat(sigma[a : z + 1], np.diff(cut, prepend=0), axis=0)
+            q = s + x
+            q -= s
+            sums[0, a : z + 1] += np.add.reduceat(q, offsets)
+            sums[1, a : z + 1] += np.add.reduceat(np.subtract(x, q, out=s), offsets)
+        total = sums[0] + sums[1]
+    slow = ~fits | (total == 0.0)
+    out[groups] = np.where(slow, 0.0, total)
+    for g, j in zip(*np.nonzero(slow)):
+        group = slice(ends[g] - sizes[g], ends[g])
+        out[groups[g], j] = math.fsum(rows[group if at is None else at[group], j].tolist())
     return out
 
 
 def _neighbor_sums(g: Graph, H: np.ndarray, feats: EdgeFeatures | None = None) -> np.ndarray:
     """Exact per-node sums of neighbor rows, or of ReLU(H[u] + e_uv) with ``feats``."""
     degrees, neighbors = adjacency_arrays(g)
-    rows = H[neighbors]
-    if feats is not None:
-        owners = np.repeat(np.arange(g.node_count), degrees)
-        rows = np.maximum(rows + feats.values[feats._rows(owners, neighbors)], 0.0)
+    if feats is None:
+        return _grouped_exact_sums(H, degrees, H.shape[1], H.dtype, at=neighbors)
+    owners = np.repeat(np.arange(g.node_count), degrees)
+    rows = np.maximum(H[neighbors] + feats.values[feats._rows(owners, neighbors)], 0.0)
     return _grouped_exact_sums(rows, degrees, H.shape[1], H.dtype)
 
 
@@ -446,10 +430,9 @@ def nc_gnn_layer_backward(
         d_Y, mlp2_grads = layer.mlp2._backward(tuple(a[local] for a in cache), d_M)
         # node w receives d_Y of every neighbor-edge (u1, u2) with w in {u1, u2}
         ends = np.concatenate([side[edges] for side in _upper_half(*adjacency_arrays(g))])
-        order = np.argsort(ends, kind="stable")
-        d_H = d_H + _grouped_exact_sums(
-            np.concatenate((d_Y, d_Y))[order], np.bincount(ends, minlength=len(H)), H.shape[1]
-        )
+        # row i of either half of ends is row i of d_Y
+        at = np.argsort(ends, kind="stable") % len(edges)
+        d_H = d_H + _grouped_exact_sums(d_Y, np.bincount(ends, minlength=len(H)), H.shape[1], at=at)
     else:
         mlp2_grads = layer.mlp2.zero_grads()
     return d_H, NcGnnLayerGrads(mlp1=mlp1_grads, mlp2=mlp2_grads, epsilon=d_eps)

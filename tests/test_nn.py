@@ -43,7 +43,7 @@ from ncwl import (
 )
 from ncwl.graph import neighbor_edge_arrays
 from ncwl.harness import seeded_rng
-from ncwl.nn import _cascade_length, _grouped_exact_sums
+from ncwl.nn import _grouped_exact_sums
 
 
 def identity_mlp(dim: int) -> Mlp:
@@ -313,6 +313,15 @@ def assert_matches_fsum(rows, counts, dim: int, at=None) -> None:
         assert got.tobytes() == expected.tobytes(), (got, expected)
 
 
+def sums_and_fsum_calls(rows, counts, dim: int, at=None) -> tuple[np.ndarray, int]:
+    """The helper's sums, and how many ``math.fsum`` calls it made."""
+    calls = []
+    fsum = math.fsum
+    with mock.patch.object(math, "fsum", lambda xs: calls.append(1) or fsum(xs)):
+        got = _grouped_exact_sums(np.asarray(rows, dtype=float), np.array(counts), dim, at=at)
+    return got, len(calls)
+
+
 BIG = float(np.finfo(float).max)
 TINY = 2.0**-1074
 SPECIAL = [0.0, -0.0, 1.0, -1.0, 2.0**-53, -(2.0**-53), TINY, -TINY, 2.0**-1022, 1e300, -1e300]
@@ -333,10 +342,85 @@ class TestGroupedExactSums:
         at = data.draw(st.lists(st.integers(0, stored - 1), min_size=sum(counts), max_size=sum(counts)))
         assert_matches_fsum(flat, counts, dim)
         assert_matches_fsum(rows, counts, dim, at)
-        # and with every group in the cascade, whatever its cost
-        with mock.patch("ncwl.nn._cascade_length", lambda counts, dim: max(counts, default=0)):
-            assert_matches_fsum(flat, counts, dim)
-            assert_matches_fsum(rows, counts, dim, at)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_narrow_windows_need_fsum_only_for_zero_sums(self, data):
+        # exponents within a window of width w, groups of up to 300 rows
+        # (bit length 9): w + 2 * 9 <= 53 fits the split, and the largest
+        # exponent keeps k = E + 9 + 1 <= 1020
+        dim = data.draw(st.integers(1, 3))
+        counts = data.draw(st.lists(st.integers(0, 300), min_size=1, max_size=4))
+        width = data.draw(st.integers(0, 35))
+        low = data.draw(st.integers(-1022, 1010 - width))
+        # few mantissa bits make ties and exact cancellations common
+        bits = data.draw(st.integers(1, 53))
+        gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+
+        def window(n: int) -> np.ndarray:
+            mantissas = gen.integers(2 ** (bits - 1), 2**bits, size=(n, dim)) / 2.0 ** (bits - 1)
+            signs = gen.choice([-1.0, 1.0], size=(n, dim))
+            return signs * np.ldexp(mantissas, gen.integers(low, low + width + 1, size=(n, dim)))
+
+        rows = window(sum(counts))
+        stored = window(data.draw(st.integers(1, 40)))
+        at = gen.integers(0, len(stored), size=sum(counts))
+        for got, expected in (
+            (sums_and_fsum_calls(rows, counts, dim), fsum_reference(rows, counts, dim)),
+            (sums_and_fsum_calls(stored, counts, dim, at), fsum_reference(stored[at], counts, dim)),
+        ):
+            assert got[0].tobytes() == expected.tobytes()
+            # an exact zero sum takes fsum's sign rule; nothing else needs fsum
+            zeros = np.count_nonzero((expected == 0.0) & (np.array(counts) > 0)[:, None])
+            assert got[1] == zeros
+
+    @pytest.mark.parametrize(
+        "groups, fsum_calls",
+        [
+            # exponents 0 and -49: 49 + 2 * 2 <= 53 fits the pair, 49 + 2 * 9 not the 300 rows
+            ([[1.5, 1.25 * 2.0**-49], [1.0 + i / 300 for i in range(300)]], 1),
+            # the same for a hub and its leaves, each leaf by its own row count
+            ([[1.5 + 2.0**-40] * 500] + [[1.0 + i / 64] for i in range(50)] + [[2.0**-40]], 1),
+            # (E - e) + 2b = 48 + 6 = 54: the r's of the six large rows sum to
+            # 21 * 2**-51, where the last r, 2**-100, is half an ulp and would
+            # be lost, and the sum is one ulp-half from 6 + 2**-46
+            ([[1.0 + 2.0**-49] * 5 + [1.0 + 2.0**-51, 2.0**-48 + 2.0**-100]], 1),
+            # (E - e) + 2b = 47 + 6 = 53 for 7 such rows: the split, no fsum
+            ([[1.0 + 2.0**-49] * 5 + [1.0 + 2.0**-51, 2.0**-47 + 2.0**-99]], 0),
+            # seven rows with E = 0 need sigma = 2**4: at 2**3 the q's pass
+            # 8 and the q of the last row loses its 2**-50
+            ([[1.75] * 4 + [1.0 - 2.0**-53, 0.75, -(2.0**-47 + 2.0**-50)]], 0),
+            # k = E + b + 1 for E = 1016: 1018, 1019, 1020 and 1021, which fsum takes
+            ([[1.5 * 2.0**1016] * c for c in (1, 3, 7, 8)], 1),
+            # ties to even after a carry, and exact zero sums, which fsum takes
+            ([[1.5, 1.5, 1.0 + 2.0**-51], [1.5, 1.5, 1.0 + 3 * 2.0**-51], [-1.5, -1.5, -1.0 - 2.0**-51]], 0),
+            ([[-0.0, -0.0], [1.0, -1.0], [-1.0, 0.0, 1.0, -0.0], [1.5, 1.5, 1.0 + 2.0**-51]], 3),
+            # a subnormal, an inf or a nan anywhere sends its whole column to fsum
+            ([[1.0, 2.0], [3.0, TINY], [5.0]], 3),
+            ([[1.0, 2.0], [math.inf, 4.0], [5.0]], 3),
+            ([[math.nan], [1.0, 2.0]], 2),
+        ],
+        ids=[
+            "bound-2-rows-not-300",
+            "hub-plus-leaves",
+            "past-the-r-bound",
+            "at-the-r-bound",
+            "q-sums-need-sigma",
+            "k-limit",
+            "exact-ties",
+            "signed-and-exact-zeros",
+            "subnormal",
+            "inf",
+            "nan",
+        ],
+    )
+    def test_split_boundaries(self, groups, fsum_calls):
+        counts = [len(group) for group in groups]
+        rows = np.concatenate(groups)[:, None]
+        expected = fsum_reference(rows, counts, 1)
+        got, calls = sums_and_fsum_calls(rows, counts, 1)
+        assert got.tobytes() == expected.tobytes(), (got, expected)
+        assert calls == fsum_calls
 
     @pytest.mark.parametrize(
         "groups",
@@ -370,29 +454,22 @@ class TestGroupedExactSums:
         dim = 64
         counts = [len(group) for group in groups]
         rows = np.concatenate([np.array([np.roll(g, j) for j in range(dim)]).T for g in groups])
-        assert _cascade_length(np.array(counts), dim) == max(counts)
         assert_matches_fsum(rows, counts, dim)
 
     @pytest.mark.parametrize("counts, dim", [([], 2), ([0, 0, 0], 3), ([0, 2, 0], 1)])
     def test_empty_groups(self, counts, dim):
         assert_matches_fsum(np.arange(sum(counts) * dim), counts, dim)
 
-    def test_hub_plus_short_groups(self, monkeypatch):
+    def test_hub_plus_short_groups(self):
         gen = np.random.default_rng(3)
         dim = 4
         counts = np.concatenate(([500, 2, 2], gen.integers(0, 5, size=200)))
         rows = gen.normal(size=(int(counts.sum()), dim))
-        rows[500:502, 1] = [2.5, -2.5]  # a zero sum, so this entry falls back
-        rows[503, 2] = math.inf
         expected = fsum_reference(rows, counts.tolist(), dim)
-        assert _cascade_length(counts, dim) < 500
-        calls = []
-        fsum = math.fsum
-        monkeypatch.setattr(math, "fsum", lambda xs: calls.append(1) or fsum(xs))
-        got = _grouped_exact_sums(rows, counts, dim)
+        got, calls = sums_and_fsum_calls(rows, counts, dim)
         assert got.tobytes() == expected.tobytes()
-        # the hub's columns and the two planted entries, but not the short groups
-        assert dim + 2 <= len(calls) < counts[1:].astype(bool).sum() * dim // 2
+        # the hub's 500 rows fit the split as the short groups do
+        assert calls == 0
 
     @pytest.mark.parametrize("n", [0, 3, 40])
     def test_readout_matches_fsum(self, n):
