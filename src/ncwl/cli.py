@@ -50,8 +50,10 @@ def _bind(*names: str) -> None:
 
 
 #: Largest array ``gnn-embed`` may allocate (one-hot input, layer weights,
-#: node embeddings, neighbor and pair rows), and largest sum of all its
-#: layers' parameters, in float64 entries: 2**25 entries is 256 MiB.
+#: node embeddings, neighbor rows, which bound MLP2's pair rows too), largest
+#: per-layer work of the nc pair-term sums (3T * dim entries read), and
+#: largest sum of all its layers' parameters, in float64 entries: 2**25
+#: entries is 256 MiB.
 MAX_EMBED_ARRAY_ENTRIES = 2**25
 #: Largest injectivity sweep ``codec-check`` may run, in objects built:
 #: the pair universe plus every pairwise and centered encoding.
@@ -176,9 +178,9 @@ def cmd_gnn_embed(args) -> int:
     num_labels = max(g.labels, default=0) + 1
     n, dim = g.node_count, args.dim
     # one-hot input, then (with layers) mlp weights, node embeddings and one
-    # row per neighbor (2m); for nc the guard also bounds 3T * dim, a row per
-    # neighbor-edge, although the layers hold pair rows only for the edges
-    # in a triangle (at most m) and an index of 3T ids
+    # row per neighbor (2m), which also bounds MLP2's rows (at most one per
+    # edge); for nc the guard also bounds 3T * dim, the per-layer work of the
+    # pair-term sums, which read one MLP2 row per neighbor-edge through 3T ids
     sizes = [n * num_labels]
     if args.layers:
         sizes += [num_labels * dim, n * dim, dim * dim, 2 * g.edge_count * dim]

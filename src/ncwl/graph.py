@@ -10,14 +10,15 @@ The edge-list text format understood by :func:`parse_edge_list`:
 * lines starting with ``#`` are comments; blank lines are ignored;
   LF and CRLF both accepted
 
-The parser has two tokenizers, chosen by the text's bytes. Plain text is
-ASCII; besides its comment lines, which may hold any ASCII character but
-``\x0b``, ``\x0c`` and ``\x1c``-``\x1f``, it holds only digits, spaces,
-tabs, LF and CR, two ids of at most 18 digits on each line that is not
-blank, and exactly the header's edge count of edge lines (no label
-section); numpy reads it from its bytes (:func:`_plain_edge_list`), as
-``int`` would. Every other text, and plain text whose edges the arrays
-refuse, is read line by line, and only that path names an error's line.
+The parser has two tokenizers, chosen by the text's bytes. Plain text
+holds only ASCII digits, spaces, tabs, LF and CR, two ids of at most 18
+digits on each line that is not blank, and exactly the header's edge count
+of edge lines (no comment, no label section); numpy reads it from its bytes
+(:func:`_plain_edge_list`), as ``int`` would. Every other text, and plain
+text whose edges the arrays refuse, is read line by line, and only that
+path names an error's line: each edge line is split once and read by
+``int`` up to the first malformed one, and the pairs read go through
+:func:`_edge_csr`, as :meth:`Graph.build`'s do, before that line's error.
 
 A graph stores its adjacency as two read-only intp arrays in CSR form,
 ``degrees`` and ``neighbors`` (every node's sorted neighbor list,
@@ -26,7 +27,8 @@ labels, which stay Python ints of any size. :meth:`Graph.build`,
 :func:`parse_edge_list` and :func:`permute_graph` make the arrays by one
 sort of the edge keys, which also finds every out-of-range id, self-loop
 and repeated edge; an edge list the arrays refuse is then run through the
-edge-by-edge validator, which names the first bad edge in input order.
+edge-by-edge validator, which names the first bad edge in input order
+(:func:`_edge_csr`).
 :func:`disjoint_union` concatenates the graphs' arrays.
 
 Graphs are immutable after construction and safe to share across threads.
@@ -125,36 +127,14 @@ def _int_pairs(edges: list) -> np.ndarray | None:
     return pairs.astype(np.int64, copy=False)
 
 
-def _parsed_pairs(lines: list[str]) -> np.ndarray | None:
-    """The edge lines ``<u> <v>`` as an (m, 2) int64 array.
-
-    Tokens are read by Python's ``int``, as the edge-by-edge path reads
-    them. None if a line does not hold two integers or an id does not fit
-    in int64.
-    """
-    parts = list(map(str.split, lines))
-    if not set(map(len, parts)) <= {2}:
-        return None
-    try:
-        ids = map(int, chain.from_iterable(parts))
-        flat = np.fromiter(ids, dtype=np.int64, count=2 * len(parts))
-    except (ValueError, OverflowError):
-        return None
-    return flat.reshape(-1, 2)
-
-
 #: The byte tokenizer's classes (:func:`_plain_edge_list`): 1 for an ASCII
 #: digit, 2 for a space or tab, 3 for a line break (LF or CR), 0 for any
-#: other byte, which sends the text to the line path unless a comment holds it.
+#: other byte (``#`` of a comment among them), which sends the text to the
+#: line path.
 _BYTE_KINDS = np.zeros(256, dtype=np.uint8)
 _BYTE_KINDS[list(b"0123456789")] = 1
 _BYTE_KINDS[list(b" \t")] = 2
 _BYTE_KINDS[list(b"\n\r")] = 3
-
-#: The ASCII characters besides LF and CR at which ``str.splitlines`` breaks
-#: a line, or that ``str.strip`` strips besides space and tab: text holding
-#: one goes to the line path, even inside a comment.
-_LINE_PATH_CHARS = "\x0b\x0c\x1c\x1d\x1e\x1f"
 
 #: Most digits of an id the byte tokenizer reads: 10**18 - 1 fits in int64.
 _PLAIN_DIGITS = 18
@@ -163,23 +143,18 @@ _PLAIN_DIGITS = 18
 def _plain_edge_list(text: str) -> tuple[int, np.ndarray] | None:
     """(node_count, (m, 2) int64 edge pairs) of a plain edge list, from its bytes.
 
-    Plain text is ASCII without the characters of :data:`_LINE_PATH_CHARS`.
-    Its comment lines, whose first byte that is not a space or tab is
-    ``#``, are dropped, as the line path drops them. The other lines hold
-    only digits, spaces, tabs and line breaks (LF, CR); each that is not
-    blank holds two tokens of at most :data:`_PLAIN_DIGITS` digits; and
-    those lines are the header, with a node count of at most
-    :data:`MAX_NODE_COUNT`, plus exactly its edge count of edge lines.
-    ``int`` reads such a token as the decimal value of its digits, which is
-    the value computed here, so the pairs are the ones the line path reads.
-    None for any other text.
+    Plain text holds only ASCII digits, spaces, tabs and line breaks (LF,
+    CR); each line that is not blank holds two tokens of at most
+    :data:`_PLAIN_DIGITS` digits; and those lines are the header, with a
+    node count of at most :data:`MAX_NODE_COUNT`, plus exactly its edge
+    count of edge lines. ``int`` reads such a token as the decimal value of
+    its digits, which is the value computed here, so the pairs are the
+    ones the line path reads. None for any other text.
     """
     if not text.isascii():
         return None
     buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
     kinds = _BYTE_KINDS[buf]
-    if "#" in text and not _blank_comments(text, kinds):
-        return None
     if not kinds.all():
         return None
     # a token starts where a digit follows a non-digit and ends where a non-digit
@@ -212,27 +187,6 @@ def _plain_edge_list(text: str) -> tuple[int, np.ndarray] | None:
     return node_count, values[2:].reshape(-1, 2)
 
 
-def _blank_comments(text: str, kinds: np.ndarray) -> bool:
-    """Marks the bytes of ``text``'s comment lines as blanks in its byte
-    ``kinds``, up to each line's break. False if ``text`` holds a character
-    of :data:`_LINE_PATH_CHARS` or a ``#`` after a byte on its line that is
-    not a space or tab."""
-    if any(c in text for c in _LINE_PATH_CHARS):
-        return False
-    # one break character, so that each search below stops at its line's end
-    text = text.replace("\r", "\n")
-    at = text.find("#")
-    while at >= 0:
-        start = text.rfind("\n", 0, at) + 1
-        if text[start:at].strip(" \t"):
-            return False
-        end = text.find("\n", at)
-        end = len(text) if end < 0 else end
-        kinds[start:end] = 2
-        at = text.find("#", end)
-    return True
-
-
 def _validated_csr(node_count: int, pairs: np.ndarray | None):
     """CSR arrays (degrees, neighbors) of the edges ``pairs`` on ``node_count`` nodes.
 
@@ -251,6 +205,23 @@ def _validated_csr(node_count: int, pairs: np.ndarray | None):
     if (keys[1:] == keys[:-1]).any():
         return None
     return _csr(n, keys)
+
+
+def _edge_csr(node_count: int, edges: list) -> tuple[np.ndarray, np.ndarray]:
+    """CSR arrays (degrees, neighbors) of ``edges`` on ``node_count`` nodes.
+
+    Made by :func:`_validated_csr` where it accepts the edges. Otherwise
+    the edge-by-edge validator raises :class:`_InvalidEdge` at the first bad
+    edge, or accepts ids the arrays refuse (numpy unsigned ints, bools),
+    whose arrays are then made from its adjacency.
+    """
+    csr = _validated_csr(node_count, _int_pairs(edges))
+    if csr is not None:
+        return csr
+    adjacency, edge_set = _checked_adjacency(node_count, edges)
+    degrees = np.fromiter(map(len, adjacency), dtype=np.intp, count=node_count)
+    neighbors = np.fromiter(chain.from_iterable(adjacency), dtype=np.intp, count=2 * len(edge_set))
+    return _frozen(degrees), _frozen(neighbors)
 
 
 def _csr(node_count: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -309,20 +280,8 @@ class Graph:
             raise ValueError("node_count must be non-negative")
         if node_count > MAX_NODE_COUNT:
             raise ValueError(f"node_count {node_count} exceeds the limit of {MAX_NODE_COUNT}")
-        edges = list(edges)
-        csr = _validated_csr(node_count, _int_pairs(edges))
-        if csr is not None:
-            return cls(node_count, _checked_labels(node_count, labels), *csr)
-        # the validator raises at the first bad edge, or accepts ids the arrays
-        # refuse (numpy unsigned ints, bools), whose views are then remade
-        # from the arrays as for any other graph
-        adjacency, edge_set = _checked_adjacency(node_count, edges)
-        labels = _checked_labels(node_count, labels)
-        degrees = np.fromiter(map(len, adjacency), dtype=np.intp, count=node_count)
-        neighbors = np.fromiter(
-            chain.from_iterable(adjacency), dtype=np.intp, count=2 * len(edge_set)
-        )
-        return cls(node_count, labels, _frozen(degrees), _frozen(neighbors))
+        csr = _edge_csr(node_count, list(edges))
+        return cls(node_count, _checked_labels(node_count, labels), *csr)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -446,31 +405,28 @@ def parse_edge_list(text: str) -> Graph:
             f"node count {node_count} exceeds the limit of {MAX_NODE_COUNT}", numbers[0]
         )
 
-    csr = None
-    if len(data) > edge_count:
-        csr = _validated_csr(node_count, _parsed_pairs(data[1 : 1 + edge_count]))
-
-    def edge_lines():
-        for i in range(edge_count):
-            if 1 + i >= len(data):
-                raise GraphFormatError(f"expected {edge_count} edge lines, got {i}", numbers[-1])
-            parts = data[1 + i].split()
-            if len(parts) != 2:
-                raise GraphFormatError("edge line must be '<u> <v>'", numbers[1 + i])
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise GraphFormatError(
-                    "edge line must contain two integers", numbers[1 + i]
-                ) from None
-            yield u, v
-
-    if csr is None:
-        # the validator refuses every line the arrays refuse, and names the first bad one
+    # the edge lines up to the first malformed or missing one, whose error
+    # waits until the lines before it are known to hold no bad edge
+    pairs, fault = [], None
+    for i in range(1, 1 + edge_count):
+        if i >= len(data):
+            fault = GraphFormatError(f"expected {edge_count} edge lines, got {i - 1}", numbers[-1])
+            break
+        parts = data[i].split()
+        if len(parts) != 2:
+            fault = GraphFormatError("edge line must be '<u> <v>'", numbers[i])
+            break
         try:
-            _checked_adjacency(node_count, edge_lines())
-        except _InvalidEdge as exc:
-            raise GraphFormatError(str(exc), numbers[1 + exc.index]) from None
+            pairs.append((int(parts[0]), int(parts[1])))
+        except ValueError:
+            fault = GraphFormatError("edge line must contain two integers", numbers[i])
+            break
+    try:
+        csr = _edge_csr(node_count, pairs)
+    except _InvalidEdge as exc:
+        raise GraphFormatError(str(exc), numbers[1 + exc.index]) from None
+    if fault is not None:
+        raise fault
     pos = 1 + edge_count
 
     labels = (0,) * node_count

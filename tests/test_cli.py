@@ -502,15 +502,33 @@ def test_a_launch_without_stdout_keeps_its_exit_code(files, argv, code):
     assert (res.returncode, res.stderr) == (code, b"")
 
 
+#: Starts the command in its arguments and prints its exit code and peak RSS.
+#: A child's peak RSS starts at the high-water mark of the process that
+#: started it, so the CLI is started from this small process, not from
+#: pytest, whose own peak would otherwise be read after any earlier test
+#: that took hundreds of MiB.
+_LAUNCHER = (
+    "import os, subprocess, sys\n"
+    "proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+    "_, status, usage = os.wait4(proc.pid, 0)\n"
+    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+)
+
+
 def peak_rss_mib(tmp_path, *args: str) -> tuple[int, str, float]:
     """Exit code, stderr and peak RSS in MiB of one CLI launch (Linux units)."""
     err = tmp_path / "stderr.txt"
     with err.open("w") as sink:
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "ncwl", *args], stdout=subprocess.DEVNULL, stderr=sink
+        launcher = subprocess.run(
+            [sys.executable, "-c", _LAUNCHER, sys.executable, "-m", "ncwl", *args],
+            stdout=subprocess.PIPE,
+            stderr=sink,
+            text=True,
+            timeout=300,
         )
-        _, status, usage = os.wait4(proc.pid, 0)
-    return os.waitstatus_to_exitcode(status), err.read_text(), usage.ru_maxrss / 1024
+    assert launcher.returncode == 0, err.read_text()
+    code, peak_kib = map(int, launcher.stdout.split())
+    return code, err.read_text(), peak_kib / 1024
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
@@ -706,7 +724,7 @@ def edge_list_texts(draw):
     lines = serialize_edge_list(g).splitlines()
     fault = draw(
         st.sampled_from(
-            ["none", "header", "out-of-range", "duplicate", "huge-label", "drop-line"]
+            ["none", "header", "out-of-range", "duplicate", "huge-label", "drop-line", "comment"]
         )
     )
     if fault == "header":
@@ -726,26 +744,45 @@ def edge_list_texts(draw):
         lines += [f"{v} {huge if v == 0 else lab}" for v, lab in enumerate(g.labels)]
     elif fault == "drop-line" and len(lines) > 1:
         del lines[draw(st.integers(min_value=0, max_value=len(lines) - 1))]
+    elif fault == "comment":
+        # a comment line anywhere is skipped; one after a line's tokens is not
+        at = draw(st.integers(min_value=0, max_value=len(lines)))
+        if at < len(lines) and draw(st.booleans()):
+            lines[at] += " # after the tokens"
+        else:
+            lines.insert(at, draw(st.sampled_from(["# a comment", "\t#0 1", "#"])))
     return "\n".join(lines) + "\n"
 
 
-@given(
-    st.sampled_from(["refine", "compare"]),
-    st.sampled_from(METHODS),
-    edge_list_texts(),
-    edge_list_texts(),
-    st.sampled_from([None, "-1", "0", "3", "40"]),
-)
-@settings(max_examples=150, deadline=None)
-def test_fuzzed_files_keep_the_exit_code_contract(command, method, text1, text2, k_cap):
+#: Every command that reads a graph file, with the number of files it reads.
+FILE_COMMANDS = {"refine": 1, "compare": 2, "stats": 1, "union": 2, "gnn-embed": 1}
+
+
+@st.composite
+def command_flags(draw, command: str) -> list[str]:
+    """The flags a fuzzed launch of ``command`` passes besides its files."""
+    if command in ("refine", "compare"):
+        k_cap = draw(st.sampled_from([None, "-1", "0", "3", "40"]))
+        method = ["--method", draw(st.sampled_from(METHODS))]
+        return method + ([] if k_cap is None else ["--k-cap", k_cap])
+    if command == "gnn-embed":
+        return [
+            "--variant", draw(st.sampled_from(["nc", "gin"])),
+            "--dim", draw(st.sampled_from(["1", "2", "4"])),
+            "--layers", draw(st.sampled_from(["0", "1", "2"])),
+        ]
+    return []
+
+
+@given(st.sampled_from(sorted(FILE_COMMANDS)), st.data(), edge_list_texts(), edge_list_texts())
+@settings(max_examples=250, deadline=None)
+def test_fuzzed_files_keep_the_exit_code_contract(command, data, text1, text2):
+    flags = data.draw(command_flags(command))
     with tempfile.TemporaryDirectory() as root:
         paths = [Path(root) / "a.txt", Path(root) / "b.txt"]
         for path, text in zip(paths, (text1, text2)):
             path.write_text(text)
-        argv = [command, str(paths[0])]
-        if command == "compare":
-            argv.append(str(paths[1]))
-        argv += ["--method", method] + ([] if k_cap is None else ["--k-cap", k_cap])
+        argv = [command, *map(str, paths[: FILE_COMMANDS[command]]), *flags]
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             try:

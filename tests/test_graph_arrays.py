@@ -144,15 +144,12 @@ def apply_fault(draw, fault: str, n: int, lines: list[list[str]]) -> int:
 #: blank besides LF, CR and the ASCII blanks: no plain file holds them.
 UNICODE_BREAKS = ("\x0b", "\x0c", "\x1c", "\x85", "\u2028")
 
-#: The ASCII characters of that kind, which no plain file holds even in a comment.
-LINE_PATH_CHARS = "\x0b\x0c\x1c\x1d\x1e\x1f"
-
 
 @st.composite
 def edge_list_files(draw, faults=(None,)):
     """Edge-list text; about half of it plain (:func:`is_plain`, unless a
-    fault makes it otherwise): no label section, ASCII comment lines, and
-    otherwise ASCII digits, blanks and LF/CR line breaks only."""
+    fault makes it otherwise): no comment, no label section, and ASCII
+    digits, blanks and LF/CR line breaks only."""
     plain = draw(st.booleans())
     n = draw(st.integers(0, 40))
     lines = draw(valid_edges(n))
@@ -166,10 +163,11 @@ def edge_list_files(draw, faults=(None,)):
         data += [[str(v), str(draw(st.integers(0, 4)))] for v in order]
 
     pads, seps = ("", " ", "  ", "\t"), (" ", "  ", "\t", " \t ")
-    noises = ("", "   ", "# a comment", "  #x 1 2", "#", "\t## 3 4 labels")
+    noises = ("", "   ")
     newlines = ("\n", "\r\n", "\r")
     if not plain:
         pads += UNICODE_BREAKS[:1]
+        noises += ("# a comment", "  #x 1 2", "#", "\t## 3 4 labels")
         # a line break inside a comment starts a line, here another comment
         noises += ("# a\x0c#b", "#\x1f# 0 1", "# caf\u00e9")
         newlines += UNICODE_BREAKS
@@ -185,13 +183,9 @@ def edge_list_files(draw, faults=(None,)):
 
 def is_plain(text: str) -> bool:
     """Whether ``text`` is a plain edge list, the byte tokenizer's input, by its lines."""
-    if not text.isascii() or set(text) & set(LINE_PATH_CHARS):
+    if set(text) - set("0123456789 \t\r\n"):
         return False
-    # a comment line's first character that is not a space or tab is '#'
-    lines = [line for line in re.split("[\r\n]", text) if not line.lstrip(" \t").startswith("#")]
-    if set("".join(lines)) - set("0123456789 \t"):
-        return False
-    lines = [line.split() for line in lines if line.split()]
+    lines = [line.split() for line in re.split("[\r\n]", text) if line.split()]
     return (
         bool(lines)
         and all(len(line) == 2 and max(map(len, line)) <= 18 for line in lines)
@@ -206,7 +200,6 @@ def assert_plain_exactly_when_expected(text: str):
     assert (plain is not None) == is_plain(text)
     if plain is not None:
         lines = [line.split() for line in text.splitlines() if line.split()]
-        lines = [line for line in lines if not line[0].startswith("#")]
         assert plain[0] == int(lines[0][0])
         assert plain[1].dtype == np.int64
         assert plain[1].tolist() == [[int(u), int(v)] for u, v in lines[1:]]
@@ -266,6 +259,55 @@ class TestParseDifferential:
         assert_parses_as_reference(text)
 
 
+#: An edge the arrays refuse, and a line the line reader refuses, each
+#: first in turn; a missing line comes after every line there is.
+TWO_FAULTS = [
+    (bad, malformed, first)
+    for bad in ("duplicate", "self-loop", "out-of-range", "huge")
+    for malformed in ("one-token", "three-tokens", "non-integer", "missing-line")
+    for first in ("bad-edge", "malformed")
+    if (malformed, first) != ("missing-line", "malformed")
+]
+
+
+@pytest.mark.parametrize("bad, malformed, first", TWO_FAULTS)
+def test_the_first_of_two_faults_is_named(bad, malformed, first):
+    # the line reader stops at a malformed line, and the edges before it
+    # are checked before that line's error is raised
+    rng = random.Random(f"{bad}-{malformed}-{first}")
+    lines = [[str(u), str(v)] for u, v in random_gnp(rng, 30, 0.2).edges()]
+    rng.shuffle(lines)
+    a, b = sorted(rng.sample(range(1, len(lines)), 2))
+    if first == "malformed":
+        a, b = b, a
+    u, v = lines[a]
+    if bad == "duplicate":
+        lines[a] = lines[0][::-1]
+    elif bad == "self-loop":
+        lines[a] = [u, u]
+    elif bad == "out-of-range":
+        lines[a] = [u, "30"]
+    else:
+        lines[a] = [str(2**70), v]
+    claimed = len(lines)
+    if malformed == "one-token":
+        lines[b] = lines[b][:1]
+    elif malformed == "three-tokens":
+        lines[b] = lines[b] + ["1"]
+    elif malformed == "non-integer":
+        lines[b] = [lines[b][0], "1.5"]
+    else:
+        claimed += 2
+    body = [" ".join(line) for line in lines]
+    body.insert(rng.randrange(len(body)), "# a comment")
+    text = "\n".join([f"30 {claimed}", "", *body]) + "\n"
+    expected = outcome(reference.parse_edge_list, text)
+    named = {"duplicate": "duplicate", "self-loop": "self-loop"}.get(bad, "out of range")
+    assert expected[0] == "error"
+    assert (named in expected[2]) == (first == "bad-edge")
+    assert outcome(parse_edge_list, text) == expected
+
+
 #: Texts the byte tokenizer reads, and texts it leaves to the line path.
 PLAIN_TEXTS = {
     "lf": "3 2\n0 1\n1 2\n",
@@ -276,14 +318,14 @@ PLAIN_TEXTS = {
     "no-edges": "5 0\n",
     "node-limit": f"{MAX_NODE_COUNT} 0",
     "18-digit-ids": "000000000000000003 2\n000000000000000000 01\n1 000000000000000002\n",
-    "comment": "# a graph\n3 2\n0 1\n1 2\n",
-    "comment-between-edges": "3 2\n0 1\n# labels 1 2\n1 2\n",
-    "indented-comments": "\t# tab\r\n3 2\r\n  #x 0 1\r\n0 1\r\n \t##\r1 2\n#",
-    "comment-of-any-ascii": "#\x00\x7f!~ +0_1 \x1b\x08\n3 2\n0 1\n1 2\n",
 }
 LINE_TEXTS = {
     "empty": "",
     "blank": " \n\r\n\t",
+    "comment": "# a graph\n3 2\n0 1\n1 2\n",
+    "comment-between-edges": "3 2\n0 1\n# labels 1 2\n1 2\n",
+    "indented-comments": "\t# tab\r\n3 2\r\n  #x 0 1\r\n0 1\r\n \t##\r1 2\n#",
+    "comment-of-any-ascii": "#\x00\x7f!~ +0_1 \x1b\x08\n3 2\n0 1\n1 2\n",
     "only-comments": "# 3 2\n# 0 1\n",
     "comment-after-an-edge": "3 1\n0 1\n1 2 # c\n",
     "comment-after-a-token": "3 2\n0 #1\n1 2\n",
@@ -327,10 +369,10 @@ class TestBytePath:
         assert expected[0] == "ok" and is_plain(text)
         assert_plain_exactly_when_expected(text)
 
-        def refuse(lines):
+        def refuse(node_count, edges):
             raise AssertionError("line path taken")
 
-        monkeypatch.setattr(ncwl.graph, "_parsed_pairs", refuse)
+        monkeypatch.setattr(ncwl.graph, "_edge_csr", refuse)
         assert outcome(parse_edge_list, text) == expected
 
     @pytest.mark.parametrize("name", LINE_TEXTS)
