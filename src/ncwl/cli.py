@@ -27,7 +27,7 @@ _LIBRARY = {
     for module, names in {
         "graph": "_neighbor_edge_total disjoint_union parse_edge_list serialize_edge_list stats",
         "nn": "embed_graph seeded_rng stack_layers",
-        "refine": "_counted_rounds",
+        "refine": "_counted_rounds _histogram_line",
         "suite": "run_suite",
     }.items()
     for name in names.split()
@@ -103,11 +103,15 @@ def _emit(fields: list[str], fmt: str) -> None:
 
 
 def cmd_refine(args) -> int:
-    _bind("_counted_rounds")
+    _bind("_counted_rounds", "_histogram_line")
     g = _read_graph(args.graph)
+    last = None
     # each round as it comes; its ids are dense, so entry c of counts is class c
     for it, (_, (counts,)) in enumerate(_counted_rounds(args.method, [g], args.k_cap)):
-        hist = ",".join(f"{c}:{k}" for c, k in enumerate(counts.tolist())) or "-"
+        # only the final round repeats the counts before it, and reuses their line
+        if last is None or len(counts) != len(last) or (counts != last).any():
+            hist = _histogram_line(counts) or "-"
+        last = counts
         if args.format == "tsv":
             print(f"{it}\t{len(counts)}\t{hist}")
         else:

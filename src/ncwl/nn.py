@@ -186,6 +186,52 @@ def one_hot_features(g: Graph, num_labels: int) -> np.ndarray:
 _BLOCK_ENTRIES = 2**15
 
 
+#: Rows per slab of :func:`_column_extremes`.
+_SLAB_ROWS = 32
+
+
+def _slab_reduce(ufunc: np.ufunc, a: np.ndarray, identity) -> np.ndarray:
+    """``ufunc.reduce(a, axis=0)`` for the C-contiguous matrix ``a`` and a
+    ufunc whose reduction ignores order, such as ``np.maximum``; ``identity``
+    where ``a`` has no rows.
+
+    numpy reduces axis 0 of a narrow matrix one short row at a time, so
+    the whole slabs of :data:`_SLAB_ROWS` rows are reduced as single long
+    rows, then folded to one row, with the rows past them.
+    """
+    n, dim = a.shape
+    whole = n - n % _SLAB_ROWS
+    slabs = a[:whole].reshape(whole // _SLAB_ROWS, _SLAB_ROWS * dim)
+    folded = ufunc.reduce(ufunc.reduce(slabs, axis=0, initial=identity).reshape(_SLAB_ROWS, dim))
+    return ufunc(folded, ufunc.reduce(a[whole:], axis=0, initial=identity))
+
+
+def _column_extremes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per column of the float64 matrix ``rows``, the largest magnitude and
+    the smallest non-zero one: 0 and inf where there is none, and nan for
+    both where the column holds a nan.
+
+    The bits of a non-negative float order as the float does, so less one,
+    as uint64, they still do, and 0.0 wraps to the largest: the smallest
+    non-zero magnitude is one uint64 minimum, with no mask of the zeros.
+    Both reductions run by :func:`_slab_reduce`. On 200001 x 8 random
+    rows, a fifth of them zero (the rows of a 200000-leaf star at dim 8),
+    this took 3 against 17 ms for ``max(axis=0)`` and ``min(axis=0)``
+    after writing inf over the zeros (2 vCPUs).
+    """
+    mag = np.abs(rows)
+    top = _slab_reduce(np.maximum, mag, 0.0)
+    bits = mag.view(np.uint64)
+    bits -= np.uint64(1)
+    least = _slab_reduce(np.minimum, bits, np.iinfo(np.uint64).max)
+    least += np.uint64(1)
+    low = least.view(np.float64)
+    # a column of only zeros wrapped back to 0.0; a nan sorts above inf as bits
+    low[least == 0] = np.inf
+    low[np.isnan(top)] = np.nan
+    return top, low
+
+
 def _grouped_exact_sums(
     rows: np.ndarray, counts: np.ndarray, dim: int, dtype=float, at: np.ndarray | None = None
 ) -> np.ndarray:
@@ -228,11 +274,7 @@ def _grouped_exact_sums(
     groups = np.flatnonzero(counts)
     if not len(groups):
         return out
-    mag = np.abs(rows)
-    top = mag.max(axis=0)
-    mag[mag == 0.0] = np.inf
-    low = mag.min(axis=0)
-    del mag
+    top, low = _column_extremes(rows)
     sizes = counts[groups]
     bits = np.frexp(sizes)[1][:, None]
     # frexp's exponent is floor(log2) + 1, so this k is E + b + 1

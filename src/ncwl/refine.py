@@ -61,8 +61,10 @@ colors with a bincount of every graph's colors, after checking that they are
 dense ids. Four consumers read it: :func:`refine` builds its
 :class:`Coloring` objects (Python ints) from it and :func:`compare` its
 :class:`RefinementReport`, while the CLI's ``refine`` prints each round as
-it comes and its ``compare`` stops at the first round whose counts differ,
-keeping neither colorings nor histograms.
+it comes, its histogram rendered by :func:`_histogram_line`, and its
+``compare`` stops at the first round whose counts differ, keeping neither
+colorings nor histograms. A run that reaches a discrete partition ends
+without a confirmation step (:func:`_rounds`).
 
 Pairwise comparison interleaves the two graphs in one joint run (the node
 methods on their disjoint union, the tuple methods in the same sorts),
@@ -154,6 +156,63 @@ def _nonzero_counts(counts: np.ndarray) -> Histogram:
     """The (color, count) pairs of the nonzero entries of a bincount."""
     present = np.flatnonzero(counts)
     return tuple(zip(present.tolist(), counts[present].tolist()))
+
+
+def _digit_table() -> np.ndarray:
+    """The four ASCII digits of 0..9999, zero-padded, one uint32 per number."""
+    ascii_digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    table = np.empty((10,) * 4 + (4,), dtype=np.uint8)
+    for j in range(4):
+        # digit j of the number (i0, i1, i2, i3) is i_j
+        table[..., j] = ascii_digits.reshape((10,) + (1,) * (3 - j))
+    return table.view(np.uint32).reshape(-1)
+
+
+_DIGITS4 = _digit_table()
+#: 10**1 .. 10**18: a non-negative int64 has one digit more than the powers it reaches.
+_TENS = 10 ** np.arange(1, 19, dtype=np.int64)
+
+
+def _histogram_line(counts: np.ndarray) -> str:
+    """``",".join(f"{c}:{k}" for c, k in enumerate(counts.tolist()))`` for
+    the non-negative int64 ``counts``, rendered by numpy.
+
+    The ids and counts are interleaved, and each number is written as
+    right-aligned 4-digit chunks from :data:`_DIGITS4` into a fixed-width
+    field, followed by its separator byte: ":" after an id and "," after a
+    count. One index then gathers each field's significant digits and its
+    separator, but not the last separator. On 17576 classes this takes
+    about 0.9 ms against 3.5 ms for the f-strings (2 vCPUs); keeping the
+    bytes by a boolean mask over the fields took 1.2-1.4 ms.
+    """
+    m = len(counts)
+    if not m:
+        return ""
+    values = np.empty(2 * m, dtype=np.int64)
+    values[0::2] = np.arange(m)
+    values[1::2] = counts
+    digits = np.searchsorted(_TENS, values, side="right")
+    digits += 1
+    chunks = (int(digits.max()) + 3) // 4
+    fields = np.empty((2 * m, chunks + 1), dtype=np.uint32)
+    for j in range(chunks - 1, -1, -1):
+        # a scalar floor-divide, far faster here than np.divmod
+        high = values // 10000
+        fields[:, j] = _DIGITS4[values - high * 10000]
+        values = high
+    text = fields.view(np.uint8)
+    text[0::2, 4 * chunks] = ord(":")
+    text[1::2, 4 * chunks] = ord(",")
+    # field i takes the digits[i] bytes before its separator and the
+    # separator; output byte p of field i is text byte starts[i] + p
+    length = digits + 1
+    length[-1] -= 1
+    ends = np.cumsum(length)
+    width = text.shape[1]
+    starts = np.arange(4 * chunks, 2 * m * width, width) - digits
+    starts -= ends - length
+    index = np.repeat(starts, length) + np.arange(int(ends[-1]))
+    return text.reshape(-1)[index].tobytes().decode("ascii")
 
 
 @dataclass(frozen=True)
@@ -585,10 +644,19 @@ def _rounds(step: Callable[[np.ndarray | None], np.ndarray]) -> Iterator[np.ndar
     literally equal as arrays; convergence is therefore plain array
     equality. The number of rounds is bounded by the entity count since
     every non-final round strictly splits some class.
+
+    A discrete partition, one class per entity, has the ids 0..n-1 in
+    entity order, so its last entity has id n - 1, and no other partition
+    does. It is its own next round, since every signature holds the
+    entity's own color: it is yielded once more, without calling the step,
+    and the run ends.
     """
     colors = step(None)
     yield colors
     for _ in range(len(colors)):
+        if colors[-1] == len(colors) - 1:
+            yield colors
+            return
         new = step(colors)
         yield new
         if np.array_equal(new, colors):

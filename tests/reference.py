@@ -20,9 +20,12 @@ neighbor-edge and run MLP2 on every copy.
 :func:`encode_multiset`, :func:`encode_pairwise`, :func:`encode_centered`
 and :func:`decode_multiset` are the package's earlier codec, which sums
 one ``Fraction`` per term and decodes by a ``Fraction`` divmod per
-exponent. The node sort engine's
-reference, ``ncwl.refine._NodeUniverse``, lives in the package, where it
-also serves runs on small graphs.
+exponent. :func:`rounds` is the package's earlier round loop, which
+also steps a discrete partition. :func:`histogram_line` is the CLI's
+earlier f-string rendering of a ``refine`` histogram, and
+:func:`refine_stdout` its earlier ``refine`` output. The node sort
+engine's reference, ``ncwl.refine._NodeUniverse``, lives in the package,
+where it also serves runs on small graphs.
 """
 
 from __future__ import annotations
@@ -331,6 +334,41 @@ def pair_term_backward(g: Graph, H: np.ndarray, layer, upstream: np.ndarray):
     else:
         mlp2_grads = layer.mlp2.zero_grads()
     return d_H, NcGnnLayerGrads(mlp1=mlp1_grads, mlp2=mlp2_grads, epsilon=d_eps)
+
+
+def rounds(step) -> list[np.ndarray]:
+    """The earlier ``ncwl.refine._rounds``, as a list: every round up to the
+    first repeated partition, each one stepped, a discrete partition too."""
+    colors = step(None)
+    out = [colors]
+    for _ in range(len(colors)):
+        new = step(colors)
+        out.append(new)
+        if np.array_equal(new, colors):
+            return out
+        colors = new
+    if len(colors):
+        raise AssertionError("refinement failed to stabilize within the entity bound")
+    return out
+
+
+def histogram_line(counts: Sequence[int]) -> str:
+    """The earlier ``refine`` histogram: ``c:k`` for class c of k entities, joined by commas."""
+    return ",".join(f"{c}:{k}" for c, k in enumerate(counts))
+
+
+def refine_stdout(colorings, fmt: str) -> str:
+    """The earlier ``ncwl refine`` output, formatted from :func:`ncwl.refine`'s colorings."""
+    lines = []
+    for it, c in enumerate(colorings):
+        hist = histogram_line([k for _, k in c.histogram]) or "-"
+        if fmt == "tsv":
+            lines.append(f"{it}\t{c.num_classes}\t{hist}")
+        else:
+            lines.append(f"iteration {it}: classes={c.num_classes} histogram={hist}")
+    if fmt != "tsv":
+        lines.append(f"converged after {len(colorings) - 1} iterations")
+    return "".join(f"{line}\n" for line in lines)
 
 
 def lexsort_dense_ids(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -41,6 +41,7 @@ from ncwl.graph import MAX_NEIGHBOR_EDGES, MAX_NODE_COUNT
 from ncwl.refine import MAX_TUPLE_ENTITIES
 
 from conftest import graphs, permutations_of
+from reference import refine_stdout
 
 
 def run_cli(*args: str):
@@ -638,20 +639,6 @@ def test_3wl_compare_at_the_tuple_limit_keeps_no_histograms(tmp_path):
     assert peak < 512
 
 
-def coloring_stdout(colorings, fmt: str) -> str:
-    """The ``refine`` output formatted from the Colorings of :func:`ncwl.refine`."""
-    lines = []
-    for it, c in enumerate(colorings):
-        hist = ",".join(f"{color}:{k}" for color, k in c.histogram) if c.histogram else "-"
-        if fmt == "tsv":
-            lines.append(f"{it}\t{c.num_classes}\t{hist}")
-        else:
-            lines.append(f"iteration {it}: classes={c.num_classes} histogram={hist}")
-    if fmt != "tsv":
-        lines.append(f"converged after {len(colorings) - 1} iterations")
-    return "".join(f"{line}\n" for line in lines)
-
-
 def report_stdout(report, fmt: str) -> tuple[int, str]:
     """The ``compare`` exit code and output formatted from a RefinementReport."""
     sep = "\t" if fmt == "tsv" else " "
@@ -670,7 +657,7 @@ def assert_cli_matches_library(g1, g2, method: str) -> str:
             Path(path).write_text(serialize_edge_list(g))
         for fmt in ("human", "tsv"):
             for argv, expected in (
-                (["refine", paths[0]], (0, coloring_stdout(colorings, fmt))),
+                (["refine", paths[0]], (0, refine_stdout(colorings, fmt))),
                 (["compare", *paths], report_stdout(report, fmt)),
             ):
                 out = io.StringIO()
@@ -714,6 +701,54 @@ def test_streamed_cli_matches_the_library(g1, data, method):
     twin = permutations_of(g1.node_count).map(lambda perm: permute_graph(g1, perm))
     g2 = data.draw(st.one_of(twin, graphs(max_nodes=7, max_labels=2)))
     assert_cli_matches_library(g1, g2, method)
+
+
+def triangulated_grid(w: int, rng: random.Random) -> ncwl.graph.Graph:
+    """The w x w grid plus one diagonal per cell, node ids shuffled by ``rng``."""
+    ids = list(range(w * w))
+    rng.shuffle(ids)
+    edges = []
+    for i in range(w):
+        for j in range(w):
+            for di, dj in ((0, 1), (1, 0), (1, 1)):
+                if i + di < w and j + dj < w:
+                    edges.append((ids[i * w + j], ids[(i + di) * w + j + dj]))
+    return ncwl.graph.Graph.build(w * w, edges)
+
+
+CORPUS_FILES = sorted(
+    path for path in (Path(ncwl.__file__).parent / "corpus_data").glob("*.txt")
+    if path.name != "manifest.txt"
+)
+
+
+@pytest.mark.parametrize(
+    "name, text, methods",
+    [
+        *((path.stem, path.read_text(), METHODS) for path in CORPUS_FILES),
+        # 3wl: 17576 tuples, discrete at round 2, ids of five digits
+        ("gnp26", serialize_edge_list(random_gnp(random.Random(0), 26, 0.3)), METHODS),
+        (
+            "gnp40-labeled",
+            serialize_edge_list(random_gnp(random.Random(1), 40, 0.15, 3)),
+            METHODS[:3],
+        ),
+        ("mesh12", serialize_edge_list(triangulated_grid(12, random.Random(2))), METHODS[:3]),
+    ],
+)
+def test_refine_prints_the_reference_rendering(tmp_path, name, text, methods):
+    """``refine`` prints, byte for byte, the f-string rendering of the
+    library's colorings: the numpy renderer and the reused final line."""
+    path = tmp_path / f"{name}.txt"
+    path.write_text(text)
+    g = parse_edge_list(text)
+    for method in methods:
+        colorings = ncwl_refine(g, method)
+        for fmt in ("human", "tsv"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(["refine", str(path), "--method", method, "--format", fmt])
+            assert (code, out.getvalue()) == (0, refine_stdout(colorings, fmt)), (method, fmt)
 
 
 @st.composite

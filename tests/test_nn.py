@@ -43,7 +43,7 @@ from ncwl import (
 )
 from ncwl.graph import neighbor_edge_arrays
 from ncwl.harness import seeded_rng
-from ncwl.nn import _grouped_exact_sums
+from ncwl.nn import _SLAB_ROWS, _column_extremes, _grouped_exact_sums
 
 
 def identity_mlp(dim: int) -> Mlp:
@@ -326,6 +326,65 @@ BIG = float(np.finfo(float).max)
 TINY = 2.0**-1074
 SPECIAL = [0.0, -0.0, 1.0, -1.0, 2.0**-53, -(2.0**-53), TINY, -TINY, 2.0**-1022, 1e300, -1e300]
 SPECIAL += [BIG, -BIG, 2.0**969, math.inf, -math.inf, math.nan]
+
+
+def row_extremes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per column, the largest magnitude and the smallest non-zero one (inf
+    where none), reduced over all rows at once."""
+    mag = np.abs(rows)
+    top = mag.max(axis=0, initial=0.0)
+    mag[mag == 0.0] = np.inf
+    return top, mag.min(axis=0, initial=np.inf)
+
+
+#: Columns of every kind the extremes treat apart, one per column.
+EXTREME_COLUMNS = {
+    "zeros": [0.0, -0.0],
+    "inf": [1.0, -math.inf, 0.0],
+    "nan": [math.nan, 1.0, 0.0],
+    "nan-and-inf": [math.inf, math.nan, -0.0],
+    "subnormal": [TINY, -(2.0**-1030), 0.0, 2.0**-1022],
+    "wide": [BIG, -1e-300, 0.0, 1.0],
+    "one-value": [-3.0],
+}
+
+
+@pytest.mark.parametrize(
+    "n", [0, 1, 2, _SLAB_ROWS - 1, _SLAB_ROWS, _SLAB_ROWS + 1, 3 * _SLAB_ROWS + 7, 200]
+)
+@pytest.mark.parametrize("spot", ["head", "tail", "spread"])
+def test_column_extremes_equal_the_reductions_over_all_rows(n, spot):
+    # each column's values sit in the first rows, the last rows (past the
+    # whole slabs) or spread over all, the other entries zero
+    gen = np.random.default_rng(n)
+    rows = np.zeros((n, len(EXTREME_COLUMNS)))
+    places = {"head": np.arange(n), "tail": np.arange(n)[::-1], "spread": gen.permutation(n)}
+    for j, values in enumerate(EXTREME_COLUMNS.values()):
+        for i, value in zip(places[spot], values):
+            rows[i, j] = value
+    got = _column_extremes(rows)
+    for a, b in zip(got, row_extremes(rows)):
+        assert a.dtype == np.float64 and a.tobytes() == b.tobytes(), (got, row_extremes(rows))
+    # and random rows of every magnitude, a third of them zero
+    rows = gen.normal(size=(n, 5)) * 10.0 ** gen.integers(-320, 300, size=(n, 5))
+    rows[gen.random((n, 5)) < 1 / 3] = 0.0
+    for a, b in zip(_column_extremes(rows), row_extremes(rows)):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, _SLAB_ROWS - 1, _SLAB_ROWS + 1, 2 * _SLAB_ROWS + 5])
+@pytest.mark.parametrize("column", EXTREME_COLUMNS, ids=str)
+def test_exact_sums_around_whole_slabs(n, column):
+    # one group of every row and groups of one row: the special values in
+    # the last rows, past the whole slabs, and then in the first ones
+    values = EXTREME_COLUMNS[column]
+    base = np.random.default_rng(n).normal(size=n)
+    for place in (slice(max(0, n - len(values)), n), slice(0, min(n, len(values)))):
+        rows = base.copy()
+        rows[place] = values[: place.stop - place.start]
+        for counts in ([n], [1] * n, [0, n - 1, 1]):
+            assert_matches_fsum(rows[:, None], counts, 1)
+            assert_matches_fsum(np.stack([rows, rows[::-1]], axis=1), counts, 2)
 
 
 class TestGroupedExactSums:

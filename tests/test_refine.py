@@ -39,6 +39,7 @@ from ncwl.refine import (
     _dense_ids,
     _hash_collides,
     _histogram,
+    _histogram_line,
     _intern_round,
     _multipliers,
     _node_round,
@@ -51,7 +52,8 @@ from ncwl.refine import (
 )
 
 from conftest import graphs, permutations_of
-from reference import TupleUniverse, lexsort_dense_ids
+from reference import TupleUniverse, histogram_line, lexsort_dense_ids
+from reference import rounds as reference_rounds
 
 
 def classes_of(coloring):
@@ -396,8 +398,91 @@ class TestSortedTupleEngine:
             with pytest.raises(ValueError, match="one node count"):
                 list(_rounds(step))
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_a_discrete_joint_run_of_different_sizes_stops_without_a_step(self, k):
+        # one tuple over both graphs is a discrete partition at round 0, so
+        # the round that would refuse the mixed node counts is never run
+        single, empty = path_graph(1), Graph.build(0, [])
+        for pair in ([single, empty], [empty, single]):
+            step, _ = _universes(f"{k}wl", pair, None)
+            assert [c.tolist() for c in _rounds(step)] == [[0], [0]]
+            with pytest.raises(ValueError, match="one node count"):
+                reference_rounds(step)
+
 
 INT64 = np.iinfo(np.int64)
+
+
+def is_discrete(colors: np.ndarray) -> bool:
+    return len(np.unique(colors)) == len(colors)
+
+
+def discrete_and_not_runs():
+    """(method, graphs) runs that end at a discrete partition, in every
+    engine, and runs that end at a coarser one."""
+    rng = random.Random("discrete exit")
+    asym = random_gnp(rng, 26, 0.3)
+    sorted_asym = random_gnp(rng, 40, 0.15, num_labels=3)
+    runs = [(m, [asym]) for m in METHODS]
+    runs += [(m, [asym, permute_graph(asym, list(range(26))[::-1])]) for m in METHODS[:3]]
+    runs += [(m, [sorted_asym]) for m in ("1wl", "nc1wl", "2wl")]
+    coarse = (complete_graph(4), path_graph(5), Graph.build(0, []))
+    runs += [(m, [g]) for m in METHODS for g in coarse]
+    runs += [(m, [path_graph(1)]) for m in METHODS]
+    runs += [(m, [wheel_graph(40)]) for m in ("1wl", "nc1wl")]
+    return runs
+
+
+@pytest.mark.parametrize("method, graph_list", discrete_and_not_runs())
+def test_rounds_never_step_a_discrete_partition(method, graph_list):
+    step, _ = _universes(method, graph_list, None)
+    stepped = []
+
+    def recording(colors):
+        stepped.append(colors is not None and is_discrete(colors))
+        return step(colors)
+
+    got = list(_rounds(recording))
+    want = reference_rounds(step)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b)
+    assert not any(stepped)
+    # one step fewer than the earlier loop exactly when the run ends discrete
+    ends_discrete = len(got[-1]) > 0 and is_discrete(got[-1])
+    assert len(stepped) == len(want) - ends_discrete
+
+
+#: The digit boundaries of the renderer's 4-digit chunks and int64 extremes.
+DIGIT_BOUNDARIES = [
+    0, 1, 9, 10, 11, 99, 100, 999, 1000, 9999, 10000, 10001, 99999999, 10**8, 10**8 + 1,
+    10**12, 10**16 - 1, 10**16, 10**18, INT64.max - 1, INT64.max,
+]
+
+
+@st.composite
+def count_arrays(draw):
+    """Non-negative int64 counts: a few drawn values, then up to a few
+    thousand seeded ones below a drawn power of ten or int64 max."""
+    value = st.one_of(st.sampled_from(DIGIT_BOUNDARIES), st.integers(0, INT64.max))
+    values = draw(st.lists(value, max_size=30))
+    if draw(st.booleans()):
+        n, seed = draw(st.integers(0, 3000)), draw(st.integers(0, 2**32 - 1))
+        top = draw(st.sampled_from([0, 9, 10**4, 10**8, INT64.max]))
+        values += np.random.default_rng(seed).integers(0, top, n, endpoint=True).tolist()
+    return np.array(values, dtype=np.int64)
+
+
+@given(count_arrays())
+@settings(max_examples=200, deadline=None)
+@example(np.zeros(0, dtype=np.int64))
+@example(np.zeros(10001, dtype=np.int64))
+@example(np.array(DIGIT_BOUNDARIES, dtype=np.int64))
+@example(np.full(3, INT64.max, dtype=np.int64))
+def test_histogram_line_equals_the_f_string_join(counts):
+    before = counts.copy()
+    assert _histogram_line(counts) == histogram_line(counts.tolist())
+    assert np.array_equal(counts, before)
 
 
 @st.composite
