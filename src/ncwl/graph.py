@@ -45,12 +45,13 @@ Concurrent first calls compute equal values.
 The index comes from compact-forward triangle listing: nodes ranked by
 (degree, id), each edge oriented towards the higher rank, and the wedges
 inside each out-list closed by an oriented edge, tested in blocks of a
-fixed wedge budget; a bool table of the edge keys' hash slots turns away
-most open wedges before the binary search. Its time is O(m sqrt(m))
-whatever the largest degree. One in-place sort of int64 corner codes
-orders it, then each code becomes its row's edge id, in 16.5 bytes per
-row: about 12 ms for G(700, 19600), 0.6-0.7 s for K_300 (13.4M rows) on 2
-vCPUs. Above :data:`MAX_NEIGHBOR_EDGES` rows it raises ValueError.
+fixed wedge budget; in every graph with a wedge, a bool table of the edge
+keys' hash slots turns away most open wedges before the binary search.
+Its time is O(m sqrt(m)) whatever the largest degree. One in-place sort of
+int64 corner codes orders it, then each code becomes its row's edge id, in
+16.5 bytes per row: about 13 ms for G(700, 19600), 0.6 s for K_300 (13.4M
+rows, every wedge closed) on 2 vCPUs. Above :data:`MAX_NEIGHBOR_EDGES` rows
+it raises ValueError.
 """
 
 from __future__ import annotations
@@ -391,13 +392,7 @@ def parse_edge_list(text: str) -> Graph:
     if not data:
         raise GraphFormatError("empty input: missing header line")
 
-    parts = data[0].split()
-    if len(parts) != 2:
-        raise GraphFormatError("header must be '<node_count> <edge_count>'", numbers[0])
-    try:
-        node_count, edge_count = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise GraphFormatError("header must contain two integers", numbers[0]) from None
+    node_count, edge_count = _two_ints(data[0], numbers[0], "header", "<node_count> <edge_count>")
     if node_count < 0 or edge_count < 0:
         raise GraphFormatError("header counts must be non-negative", numbers[0])
     if node_count > MAX_NODE_COUNT:
@@ -412,14 +407,10 @@ def parse_edge_list(text: str) -> Graph:
         if i >= len(data):
             fault = GraphFormatError(f"expected {edge_count} edge lines, got {i - 1}", numbers[-1])
             break
-        parts = data[i].split()
-        if len(parts) != 2:
-            fault = GraphFormatError("edge line must be '<u> <v>'", numbers[i])
-            break
         try:
-            pairs.append((int(parts[0]), int(parts[1])))
-        except ValueError:
-            fault = GraphFormatError("edge line must contain two integers", numbers[i])
+            pairs.append(_two_ints(data[i], numbers[i], "edge line", "<u> <v>"))
+        except GraphFormatError as exc:
+            fault = exc
             break
     try:
         csr = _edge_csr(node_count, pairs)
@@ -442,15 +433,9 @@ def parse_edge_list(text: str) -> Graph:
                 raise GraphFormatError(
                     f"label section must list all {node_count} nodes", numbers[-1]
                 )
-            lineno, line = numbers[pos], data[pos]
+            lineno = numbers[pos]
+            v, lab = _two_ints(data[pos], lineno, "label line", "<v> <label_id>")
             pos += 1
-            parts = line.split()
-            if len(parts) != 2:
-                raise GraphFormatError("label line must be '<v> <label_id>'", lineno)
-            try:
-                v, lab = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise GraphFormatError("label line must contain two integers", lineno) from None
             if not 0 <= v < node_count:
                 raise GraphFormatError(f"node id out of range: {v}", lineno)
             if lab < 0:
@@ -463,6 +448,20 @@ def parse_edge_list(text: str) -> Graph:
             raise GraphFormatError("unexpected content after label section", numbers[pos])
         labels = tuple(labels)
     return Graph(node_count, labels, *csr)
+
+
+def _two_ints(line: str, lineno: int, what: str, shape: str) -> tuple[int, int]:
+    """The two integers of the data line ``line``, or GraphFormatError at ``lineno``.
+
+    ``what`` names the line in the error and ``shape`` spells its two tokens.
+    """
+    parts = line.split()
+    if len(parts) != 2:
+        raise GraphFormatError(f"{what} must be '{shape}'", lineno)
+    try:
+        return int(parts[0]), int(parts[1])
+    except ValueError:
+        raise GraphFormatError(f"{what} must contain two integers", lineno) from None
 
 
 def serialize_edge_list(g: Graph) -> str:
@@ -519,12 +518,6 @@ def neighbor_edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
 #: (3.1M wedges, 7.7 MiB of output) the lister's numpy allocations peak at
 #: 13.3 MiB in blocks of 2**16 and at 127 MiB unblocked.
 _WEDGE_BLOCK = 2**16
-
-#: Fewest wedges for which compact-forward builds its hash table of the
-#: edge keys. Below this the table's numpy calls cost more than the binary
-#: searches they save: per G(n, p), 68 vs 61 us at 19 wedges (n = 10),
-#: 103 vs 101 us at 282 (n = 30), 126 vs 132 us at 629 (n = 50).
-_TABLE_MIN_WEDGES = 512
 
 #: Largest neighbor-edge index (3T rows, one per triangle corner) a graph
 #: may have. nc1wl ``refine`` holds about 27 bytes per row: 368 MiB peak on
@@ -584,9 +577,9 @@ def _forward_triangles(degrees: np.ndarray, neighbors: np.ndarray) -> Iterator[n
     binary search over the sorted keys decides. Most wedges of a sparse
     graph stay open (91 % in G(700, 19600)), so a block's closing keys are
     first looked up in a bool table holding the :func:`_key_slots` of the
-    edge keys, and only the wedges whose slot is set are searched. A graph
-    of fewer than :data:`_TABLE_MIN_WEDGES` wedges has no table, and a
-    block that follows one which closed more than half its wedges skips it.
+    edge keys, and only the wedges whose slot is set are searched. Every
+    graph with a wedge builds the table and filters every block through
+    it; a graph without one has no triangle and returns before the table.
     """
     n = len(degrees)
     order = np.argsort(degrees, kind="stable")  # rank -> node id
@@ -608,14 +601,14 @@ def _forward_triangles(degrees: np.ndarray, neighbors: np.ndarray) -> Iterator[n
     wedge_ends = np.cumsum(later)
     # wedge w, numbered over all edges, pairs first arm e with edge w + shift[e]
     shift = np.arange(1, m + 1) - wedge_ends + later
+    if not later.any():
+        return  # no wedge, so no triangle
     # the keys' slots in a table of 8 to 16 per edge: a closing key whose
     # slot is unset is no edge, so only the wedges with a set slot are searched
-    use_table = m > 0 and wedge_ends[-1] >= _TABLE_MIN_WEDGES
-    if use_table:
-        slot_shift = 61 - m.bit_length()
-        table = np.zeros(1 << (64 - slot_shift), dtype=bool)
-        table[_key_slots(keys, slot_shift)] = True
-    start, filtered = 0, use_table
+    slot_shift = 61 - m.bit_length()
+    table = np.zeros(1 << (64 - slot_shift), dtype=bool)
+    table[_key_slots(keys, slot_shift)] = True
+    start = 0
     while start < m:
         done = wedge_ends[start] - later[start]
         stop = max(start + 1, int(np.searchsorted(wedge_ends, done + _WEDGE_BLOCK, "right")))
@@ -623,16 +616,11 @@ def _forward_triangles(degrees: np.ndarray, neighbors: np.ndarray) -> Iterator[n
         first = np.repeat(np.arange(start, stop), arms)
         second = np.repeat(shift[start:stop], arms) + np.arange(done, done + len(first))
         closing = heads[first] * n + heads[second]
-        wedges = len(closing)
-        if filtered:
-            maybe = np.flatnonzero(table[_key_slots(closing, slot_shift)])
-            first, second, closing = first[maybe], second[maybe], closing[maybe]
+        maybe = np.flatnonzero(table[_key_slots(closing, slot_shift)])
+        first, second, closing = first[maybe], second[maybe], closing[maybe]
         at = np.searchsorted(keys, closing)
         closed = keys.take(at, mode="clip") == closing
         first, second, at = first[closed], second[closed], at[closed]
-        # where most wedges close (as in a clique) the filter passes nearly
-        # all of them, so the next block skips it
-        filtered = use_table and 2 * len(first) <= wedges
         yield np.concatenate((
             tail_codes[first] + ids[at],
             head_codes[first] + ids[second],

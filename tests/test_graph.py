@@ -108,6 +108,24 @@ class TestParse:
         with pytest.raises(GraphFormatError, match="header"):
             parse_edge_list("banana")
 
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("# c\n3\n", 2, "header must be '<node_count> <edge_count>'"),
+            ("# c\n3 1 0\n", 2, "header must be '<node_count> <edge_count>'"),
+            ("# c\n\n3 x\n", 3, "header must contain two integers"),
+            ("3 1\n0 1\nlabels\n# c\n0 1\n1\n", 6, "label line must be '<v> <label_id>'"),
+            ("3 1\n0 1\nlabels\n0 1 2\n", 4, "label line must be '<v> <label_id>'"),
+            ("3 1\n0 1\nlabels\n0 1\n\n1 1.5\n", 6, "label line must contain two integers"),
+        ],
+    )
+    def test_malformed_header_and_label_lines(self, text, line, message):
+        # edge lines are pinned against the reference parser in test_graph_arrays
+        with pytest.raises(GraphFormatError) as exc:
+            parse_edge_list(text)
+        assert exc.value.line == line
+        assert str(exc.value) == f"line {line}: {message}"
+
     def test_node_count_over_limit_rejected_at_the_header(self):
         text = f"# huge\n{MAX_NODE_COUNT + 1} 0\n"
         with pytest.raises(GraphFormatError, match="exceeds the limit") as exc:
@@ -306,9 +324,18 @@ class TestNeighborEdgeLister:
     def test_hypothesis_graphs(self, g):
         assert_lister_matches_reference(g)
 
-    def test_empty_and_edgeless(self):
-        for n in (0, 1, 2, 23, 24, 300):
-            assert_lister_matches_reference(empty_graph(n))
+    def test_empty_and_edgeless(self, monkeypatch):
+        # a graph without a wedge has no triangle and builds no slot table
+        def no_table(keys, shift):
+            raise AssertionError("a graph without a wedge built the slot table")
+
+        monkeypatch.setattr(ncwl.graph, "_key_slots", no_table)
+        cases = [empty_graph(n) for n in (0, 1, 2, 23, 24, 300)]
+        cases += [Graph.build(2 * k, [(2 * i, 2 * i + 1) for i in range(k)]) for k in (1, 2, 50)]
+        cases += [Graph.build(n, [(0, 1)]) for n in (2, 3, 10)]
+        for g in cases:
+            assert_lister_matches_reference(g)
+            assert not neighbor_edge_arrays(g)[0].any()
 
     def test_stars_wheels_and_complete_graphs(self):
         for n in (3, 4, 22, 23, 24, 60):
@@ -327,6 +354,10 @@ class TestNeighborEdgeLister:
         for _ in range(20):
             n = rng.randrange(2, 48)
             assert_lister_matches_reference(random_gnp(rng, n, rng.random()))
+        # every wedge of K_n closes, so each block follows one that closed
+        # all its wedges, and each still goes through the filter
+        for n in range(5, 41):
+            assert_lister_matches_reference(complete_graph(n))
 
     @pytest.mark.parametrize("block", [None, 1, 2, 7])
     def test_blocks_that_close_no_triangle(self, monkeypatch, block):
@@ -347,10 +378,9 @@ class TestNeighborEdgeLister:
     @pytest.mark.parametrize("block", [None, 1, 7])
     @pytest.mark.parametrize("slots", ["hashed", "one-slot"])
     def test_the_closure_filter_on_graphs_of_any_size(self, monkeypatch, slots, block):
-        # every graph here gets the table; with one slot for every key and
-        # every closing key each wedge is searched, so the filter only
-        # narrows the search and never decides it
-        monkeypatch.setattr(ncwl.graph, "_TABLE_MIN_WEDGES", 0)
+        # every graph with a wedge gets the table; with one slot for every
+        # key and every closing key each wedge is searched, so the filter
+        # only narrows the search and never decides it
         if slots == "one-slot":
             monkeypatch.setattr(
                 ncwl.graph, "_key_slots", lambda keys, shift: np.zeros(len(keys), dtype=np.intp)
